@@ -60,12 +60,12 @@ int main(int argc, char** argv) {
       DiagnosisConfig adCfg = twoCfg;
       adCfg.scheme = SchemeKind::Adaptive;
       const double drTwo =
-          evaluateWithCheckpoint(DiagnosisPipeline(work.topology, twoCfg), work.responses,
-                                 ckpt, sweepIdFor(twoCfg), run.control())
+          DiagnosisPipeline(work.topology, twoCfg)
+              .evaluate(work.responses, run.control(), SweepJournal{ckpt, sweepIdFor(twoCfg)})
               .dr;
       const double drAd =
-          evaluateWithCheckpoint(DiagnosisPipeline(work.topology, adCfg), work.responses,
-                                 ckpt, sweepIdFor(adCfg), run.control())
+          DiagnosisPipeline(work.topology, adCfg)
+              .evaluate(work.responses, run.control(), SweepJournal{ckpt, sweepIdFor(adCfg)})
               .dr;
       const std::size_t sessions = partitions * twoCfg.groupsPerPartition;
       row("%-10zu %-14.4f %-14.4f %+.4f", sessions, drTwo, drAd, drTwo - drAd);
@@ -97,12 +97,13 @@ int main(int argc, char** argv) {
     double socSumAd = 0.0;
     for (std::size_t k = 0; k < soc.coreCount(); ++k) {
       const auto responses = socResponsesForFailingCore(soc, k, socWorkload);
-      const double drTwo = evaluateWithCheckpoint(socTwoPipe, responses, ckpt,
-                                                  socSweepIdFor(socTwo, k), run.control())
-                               .dr;
-      const double drAd = evaluateWithCheckpoint(socAdPipe, responses, ckpt,
-                                                 socSweepIdFor(socAd, k), run.control())
-                              .dr;
+      const double drTwo =
+          socTwoPipe
+              .evaluate(responses, run.control(), SweepJournal{ckpt, socSweepIdFor(socTwo, k)})
+              .dr;
+      const double drAd =
+          socAdPipe.evaluate(responses, run.control(), SweepJournal{ckpt, socSweepIdFor(socAd, k)})
+              .dr;
       socSumTwo += drTwo;
       socSumAd += drAd;
       row("%-9s | %12.3f %12.3f %+10.3f", soc.core(k).name.c_str(), drTwo, drAd,

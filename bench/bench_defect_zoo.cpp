@@ -29,14 +29,14 @@ using namespace scandiag;
 
 namespace {
 
-bool sameReport(const DefectZooReport& a, const DefectZooReport& b) {
-  return a.scenarios == b.scenarios && a.sumCandidates == b.sumCandidates &&
-         a.sumActual == b.sumActual && a.misdiagnosisRate == b.misdiagnosisRate &&
-         a.meanConfidence == b.meanConfidence && a.degraded == b.degraded &&
-         a.totalInconsistencies == b.totalInconsistencies &&
-         a.totalUnionSplits == b.totalUnionSplits &&
-         a.totalAtpgPatterns == b.totalAtpgPatterns &&
-         a.totalExtraSessions == b.totalExtraSessions;
+bool sameReport(const DrReport& a, const DrReport& b) {
+  return a.faults == b.faults && a.sumCandidates == b.sumCandidates &&
+         a.sumActual == b.sumActual && a.misdiagnosed == b.misdiagnosed &&
+         a.meanConfidence == b.meanConfidence && a.unresolved == b.unresolved &&
+         a.inconsistencies == b.inconsistencies &&
+         a.unionSplits == b.unionSplits &&
+         a.atpgPatterns == b.atpgPatterns &&
+         a.extraSessions == b.extraSessions;
 }
 
 /// generate() fault-simulates, so scenarios are drawn serially (the
@@ -90,10 +90,10 @@ int main() {
       const std::vector<DefectScenario> scenarios = drawScenarios(generator, spec.scenarios);
       const DefectZooPipeline zoo(sim, topology, config, DefectPolicy{});
 
-      DefectZooReport reference;
+      DrReport reference;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         setGlobalThreadCount(threads);
-        const DefectZooReport rep = zoo.evaluate(scenarios);
+        const DrReport rep = zoo.evaluate(scenarios);
         if (threads == 1) {
           reference = rep;
         } else if (!sameReport(reference, rep)) {
@@ -101,27 +101,27 @@ int main() {
         }
         benchutil::row("%-8s %-22s %-8zu %-9.4f %-9.4f %-7.3f %-6zu %-7zu %-6zu %-8zu",
                        spec.name, describeDefectMix(mix).c_str(), threads, rep.dr,
-                       rep.misdiagnosisRate, rep.meanConfidence, rep.degraded,
-                       rep.totalUnionSplits, rep.totalAtpgPatterns, rep.totalExtraSessions);
+                       rep.misdiagnosisRate(), rep.meanConfidence, rep.unresolved,
+                       rep.unionSplits, rep.atpgPatterns, rep.extraSessions);
         report.row({{"circuit", spec.name},
                     {"defects", describeDefectMix(mix)},
                     {"k", k},
                     {"threads", threads},
-                    {"scenarios", rep.scenarios},
+                    {"scenarios", rep.faults},
                     {"dr", rep.dr},
-                    {"misdiagnosis_rate", rep.misdiagnosisRate},
+                    {"misdiagnosis_rate", rep.misdiagnosisRate()},
                     {"mean_confidence", rep.meanConfidence},
                     {"sum_candidates", rep.sumCandidates},
                     {"sum_actual", rep.sumActual},
-                    {"degraded", rep.degraded},
-                    {"union_splits", rep.totalUnionSplits},
-                    {"atpg_patterns", rep.totalAtpgPatterns},
-                    {"extra_sessions", rep.totalExtraSessions}});
+                    {"degraded", rep.unresolved},
+                    {"union_splits", rep.unionSplits},
+                    {"atpg_patterns", rep.atpgPatterns},
+                    {"extra_sessions", rep.extraSessions}});
       }
       setGlobalThreadCount(1);
       // Gate: degrade-never-lie. A nonzero misdiagnosis rate means some true
       // failing cell was excluded from a candidate set.
-      if (reference.misdiagnosisRate != 0.0) sound = false;
+      if (reference.misdiagnosisRate() != 0.0) sound = false;
 
       if (k == 2) {
         // Gate: union diagnosis precision (actual/candidates, 1.0 = exact)
@@ -130,7 +130,7 @@ int main() {
         // at least 90% of scenarios.
         std::size_t atLeastBaseline = 0;
         for (const DefectScenario& scenario : scenarios) {
-          const DefectDiagnosis d = zoo.diagnose(scenario);
+          const FaultDiagnosis d = zoo.diagnose(scenario);
           if (d.misdiagnosed) sound = false;
           const double unionPrecision =
               d.candidateCount == 0 ? 1.0
@@ -172,10 +172,10 @@ int main() {
       const std::vector<DefectScenario> scenarios =
           drawScenarios(generator, full ? std::size_t{24} : std::size_t{12});
       const DefectZooPipeline zoo(sim, topology, config, DefectPolicy{});
-      DefectZooReport reference;
+      DrReport reference;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
         setGlobalThreadCount(threads);
-        const DefectZooReport rep = zoo.evaluate(scenarios);
+        const DrReport rep = zoo.evaluate(scenarios);
         if (threads == 1) {
           reference = rep;
         } else if (!sameReport(reference, rep)) {
@@ -183,26 +183,26 @@ int main() {
         }
         benchutil::row("%-8s %-22s %-8zu %-9.4f %-9.4f %-7.3f %-6zu %-7zu %-6zu %-8zu",
                        spec.name, describeDefectMix(mix).c_str(), threads, rep.dr,
-                       rep.misdiagnosisRate, rep.meanConfidence, rep.degraded,
-                       rep.totalUnionSplits, rep.totalAtpgPatterns, rep.totalExtraSessions);
+                       rep.misdiagnosisRate(), rep.meanConfidence, rep.unresolved,
+                       rep.unionSplits, rep.atpgPatterns, rep.extraSessions);
         report.row({{"circuit", spec.name},
                     {"defects", describeDefectMix(mix)},
                     {"k", std::size_t{2}},
                     {"threads", threads},
-                    {"scenarios", rep.scenarios},
+                    {"scenarios", rep.faults},
                     {"dr", rep.dr},
-                    {"misdiagnosis_rate", rep.misdiagnosisRate},
+                    {"misdiagnosis_rate", rep.misdiagnosisRate()},
                     {"mean_confidence", rep.meanConfidence},
                     {"sum_candidates", rep.sumCandidates},
                     {"sum_actual", rep.sumActual},
-                    {"degraded", rep.degraded},
-                    {"union_splits", rep.totalUnionSplits},
-                    {"atpg_patterns", rep.totalAtpgPatterns},
-                    {"extra_sessions", rep.totalExtraSessions}});
+                    {"degraded", rep.unresolved},
+                    {"union_splits", rep.unionSplits},
+                    {"atpg_patterns", rep.atpgPatterns},
+                    {"extra_sessions", rep.extraSessions}});
       }
       setGlobalThreadCount(1);
-      if (reference.misdiagnosisRate != 0.0) sound = false;
-      if (reference.degraded != reference.scenarios || reference.meanConfidence <= 0.0 ||
+      if (reference.misdiagnosisRate() != 0.0) sound = false;
+      if (reference.unresolved != reference.faults || reference.meanConfidence <= 0.0 ||
           reference.meanConfidence >= 1.0) {
         intermittentOk = false;
       }
@@ -227,27 +227,27 @@ int main() {
     DefectPolicy starved;
     starved.refineSessionBudget = 8;
     const DefectZooPipeline zoo(sim, topology, config, starved);
-    const DefectZooReport rep = zoo.evaluate(scenarios);
+    const DrReport rep = zoo.evaluate(scenarios);
     benchutil::row("%-8s %-22s %-8s %-9.4f %-9.4f %-7.3f %-6zu %-7zu %-6zu %-8zu", "s953",
-                   "k=3 (refine budget 8)", "1", rep.dr, rep.misdiagnosisRate,
-                   rep.meanConfidence, rep.degraded, rep.totalUnionSplits,
-                   rep.totalAtpgPatterns, rep.totalExtraSessions);
+                   "k=3 (refine budget 8)", "1", rep.dr, rep.misdiagnosisRate(),
+                   rep.meanConfidence, rep.unresolved, rep.unionSplits,
+                   rep.atpgPatterns, rep.extraSessions);
     report.row({{"circuit", "s953"},
                 {"defects", "k=3,bridge,open,refine:8"},
                 {"k", std::size_t{3}},
                 {"threads", std::size_t{1}},
-                {"scenarios", rep.scenarios},
+                {"scenarios", rep.faults},
                 {"dr", rep.dr},
-                {"misdiagnosis_rate", rep.misdiagnosisRate},
+                {"misdiagnosis_rate", rep.misdiagnosisRate()},
                 {"mean_confidence", rep.meanConfidence},
                 {"sum_candidates", rep.sumCandidates},
                 {"sum_actual", rep.sumActual},
-                {"degraded", rep.degraded},
-                {"union_splits", rep.totalUnionSplits},
-                {"atpg_patterns", rep.totalAtpgPatterns},
-                {"extra_sessions", rep.totalExtraSessions}});
-    if (rep.misdiagnosisRate != 0.0) sound = false;
-    if (rep.totalAtpgPatterns == 0) atpgOk = false;
+                {"degraded", rep.unresolved},
+                {"union_splits", rep.unionSplits},
+                {"atpg_patterns", rep.atpgPatterns},
+                {"extra_sessions", rep.extraSessions}});
+    if (rep.misdiagnosisRate() != 0.0) sound = false;
+    if (rep.atpgPatterns == 0) atpgOk = false;
   }
 
   std::printf("\nthread determinism (1 vs 2 vs 8): %s\n", deterministic ? "OK" : "MISMATCH");

@@ -24,14 +24,14 @@ struct SweepPoint {
   double noiseRate = 0.0;
   bool recovery = false;
   std::size_t threads = 1;
-  NoisyDrReport report;
+  DrReport report;
 };
 
-bool sameReport(const NoisyDrReport& a, const NoisyDrReport& b) {
+bool sameReport(const DrReport& a, const DrReport& b) {
   return a.sumCandidates == b.sumCandidates && a.sumActual == b.sumActual &&
-         a.faults == b.faults && a.totalInconsistencies == b.totalInconsistencies &&
-         a.totalRetrySessions == b.totalRetrySessions && a.unresolved == b.unresolved &&
-         a.misdiagnosisRate == b.misdiagnosisRate && a.meanConfidence == b.meanConfidence;
+         a.faults == b.faults && a.inconsistencies == b.inconsistencies &&
+         a.extraSessions == b.extraSessions && a.unresolved == b.unresolved &&
+         a.misdiagnosisRate() == b.misdiagnosisRate() && a.meanConfidence == b.meanConfidence;
 }
 
 }  // namespace
@@ -70,8 +70,8 @@ int main() {
     noise.flipRate = rate;
     for (const bool withRecovery : {false, true}) {
       const RetryPolicy policy = withRecovery ? recovery : RetryPolicy{};
-      const NoisyPipeline pipeline(work.topology, config, noise, policy);
-      NoisyDrReport reference;
+      const DiagnosisPipeline pipeline(work.topology, config, noise, policy);
+      DrReport reference;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         setGlobalThreadCount(threads);
         SweepPoint point;
@@ -86,9 +86,9 @@ int main() {
         }
         benchutil::row("%-8.3f %-9s %-8zu %-9.4f %-9.4f %-7.4f %-7.3f %-8zu %-7zu %-6zu",
                        rate, withRecovery ? "on" : "off", threads, point.report.dr,
-                       point.report.misdiagnosisRate, point.report.emptyRate,
-                       point.report.meanConfidence, point.report.totalInconsistencies,
-                       point.report.totalRetrySessions, point.report.unresolved);
+                       point.report.misdiagnosisRate(), point.report.emptyRate(),
+                       point.report.meanConfidence, point.report.inconsistencies,
+                       point.report.extraSessions, point.report.unresolved);
         points.push_back(point);
       }
     }
@@ -109,13 +109,13 @@ int main() {
                 {"recovery", p.recovery},
                 {"threads", p.threads},
                 {"dr", p.report.dr},
-                {"misdiagnosis_rate", p.report.misdiagnosisRate},
-                {"empty_rate", p.report.emptyRate},
+                {"misdiagnosis_rate", p.report.misdiagnosisRate()},
+                {"empty_rate", p.report.emptyRate()},
                 {"mean_confidence", p.report.meanConfidence},
                 {"sum_candidates", p.report.sumCandidates},
                 {"sum_actual", p.report.sumActual},
-                {"inconsistencies", p.report.totalInconsistencies},
-                {"retry_sessions", p.report.totalRetrySessions},
+                {"inconsistencies", p.report.inconsistencies},
+                {"retry_sessions", p.report.extraSessions},
                 {"unresolved", p.report.unresolved}});
   }
   report.write();

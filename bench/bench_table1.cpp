@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
                                 SchemeKind::TwoStep}) {
         const DiagnosisConfig config = presets::table1(scheme, partitions);
         const DiagnosisPipeline pipeline(work.topology, config);
-        dr[i++] = evaluateWithCheckpoint(pipeline, work.responses, ckpt,
-                                         sweepIdFor(config), run.control())
+        dr[i++] = pipeline
+                      .evaluate(work.responses, run.control(),
+                                SweepJournal{ckpt, sweepIdFor(config)})
                       .dr;
       }
       row("%-12zu %-16.3f %-18.3f %-10.3f", partitions, dr[0], dr[1], dr[2]);

@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
         for (SchemeKind scheme : {SchemeKind::RandomSelection, SchemeKind::TwoStep}) {
           const DiagnosisConfig config = presets::soc1Config(scheme, pruning);
           const DiagnosisPipeline pipeline(soc.topology(), config);
-          dr[i++] = evaluateWithCheckpoint(pipeline, responses, ckpt,
-                                           socSweepIdFor(config, k), run.control())
+          dr[i++] = pipeline
+                        .evaluate(responses, run.control(),
+                                  SweepJournal{ckpt, socSweepIdFor(config, k)})
                         .dr;
         }
       }

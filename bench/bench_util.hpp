@@ -198,8 +198,8 @@ inline constexpr int kExitInterrupted = 6;
 ///     ...
 ///     SweepCheckpoint* ckpt = run.openCheckpoint(setupDigest, "table1 s953");
 ///     try {
-///       ... evaluateWithCheckpoint(pipeline, responses, ckpt, sweepId,
-///                                  run.control()) ...
+///       ... pipeline.evaluate(responses, run.control(),
+///                             SweepJournal{ckpt, sweepId}) ...
 ///     } catch (const OperationCancelled& err) {
 ///       return run.interrupted(report, err);
 ///     }

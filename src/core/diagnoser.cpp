@@ -45,15 +45,12 @@ const std::string& Diagnoser::cellName(std::size_t cell) const {
   return netlist_.gateName(netlist_.dffs()[cell]);
 }
 
-DrReport Diagnoser::evaluateResolution(std::size_t numFaults, std::uint64_t seed,
-                                       const RunControl& control,
-                                       SweepCheckpoint* checkpoint) const {
+DrReport Diagnoser::evaluateResolution(std::size_t numFaults, std::uint64_t seed) const {
   const FaultList universe = FaultList::enumerateCollapsed(netlist_);
   const std::vector<FaultSite> candidates =
       universe.sample(std::min(universe.size(), numFaults * 4), seed);
   const std::vector<FaultResponse> responses = faultSim_.collectDetected(candidates, numFaults);
-  return evaluateWithCheckpoint(pipeline_, responses, checkpoint,
-                                sweepIdFor(options_.diagnosis), control);
+  return pipeline_.evaluate(responses);
 }
 
 }  // namespace scandiag

@@ -17,7 +17,6 @@
 #include <optional>
 
 #include "core/experiment_config.hpp"
-#include "diagnosis/checkpoint.hpp"
 #include "diagnosis/experiment_driver.hpp"
 
 namespace scandiag {
@@ -59,13 +58,8 @@ class Diagnoser {
   /// Scan-cell name (the DFF's netlist name) for a cell ordinal.
   const std::string& cellName(std::size_t cell) const;
 
-  /// DR over `numFaults` detected faults sampled with `seed`. `control` is
-  /// polled at fault granularity (inert by default); `checkpoint` — when
-  /// non-null — journals/replays completed faults so a killed run resumes
-  /// bit-identically (see diagnosis/checkpoint.hpp).
-  DrReport evaluateResolution(std::size_t numFaults, std::uint64_t seed = 0xFA17,
-                              const RunControl& control = {},
-                              SweepCheckpoint* checkpoint = nullptr) const;
+  /// DR over `numFaults` detected faults sampled with `seed`.
+  DrReport evaluateResolution(std::size_t numFaults, std::uint64_t seed = 0xFA17) const;
 
  private:
   Netlist netlist_;

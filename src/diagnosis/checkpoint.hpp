@@ -4,8 +4,9 @@
 // reduce in fault-index order. That structure makes crash-safety cheap: each
 // *completed* fault is journaled as one durable record, and a resumed run
 // replays journaled faults into the accumulator and diagnoses only the
-// missing ones. Because the reduction was already ordered (PR 1) and every
-// counter increment is per-fault-scoped, the resumed run's DR values,
+// missing ones. DiagnosisPipeline::evaluate is that loop: pass it a
+// SweepJournal naming a sink and a sweepId. Because the reduction is ordered
+// and every counter increment is per-fault-scoped, the resumed run's DR values,
 // deterministic counters, and BENCH JSON are bit-identical to an
 // uninterrupted run at any thread count.
 //
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "common/journal.hpp"
-#include "common/watchdog.hpp"
 #include "diagnosis/experiment_driver.hpp"
 
 namespace scandiag {
@@ -61,7 +61,7 @@ struct FaultRecord {
   std::uint64_t actualCount = 0;
   std::uint64_t verdictDigest = 0;
   /// (counter index, increment) pairs captured during this fault's diagnosis.
-  std::vector<std::pair<std::uint16_t, std::uint64_t>> counterDeltas;
+  std::vector<std::pair<std::uint16_t, std::uint64_t>> counterDeltas = {};
 };
 
 std::string encodeFaultRecord(const FaultRecord& record);
@@ -114,8 +114,8 @@ std::uint64_t setupDigestPiece(const std::string& name, const std::string& value
 /// Digest identifying one sweep configuration inside a journal.
 std::uint64_t sweepIdFor(const DiagnosisConfig& config);
 
-/// Where completed-fault records go and where replays come from. The sweep
-/// evaluators are written against this interface so the same loop serves a
+/// Where completed-fault records go and where replays come from. The
+/// evaluate loop is written against this interface so the same loop serves a
 /// durable journal (SweepCheckpoint), an in-memory collector
 /// (MemoryRecordSink — the live-report path), or both (TeeRecordSink).
 /// Implementations must make record() thread-safe (pool workers publish
@@ -198,27 +198,5 @@ class TeeRecordSink : public FaultRecordSink {
   FaultRecordSink* primary_;
   MemoryRecordSink* collector_;
 };
-
-/// DiagnosisPipeline::evaluate with checkpointing: journaled faults are
-/// replayed (counters re-applied, journal_records_replayed counted), missing
-/// faults are diagnosed, published to `sink`, and reduced — output
-/// bit-identical to an uninterrupted pipeline.evaluate(responses) at any
-/// thread count. `sink` may be null (degenerates to pipeline.evaluate).
-/// `control` is polled per fault; cancellation unwinds as OperationCancelled
-/// *between* faults, so every published record is a completed fault.
-DrReport evaluateWithCheckpoint(const DiagnosisPipeline& pipeline,
-                                const std::vector<FaultResponse>& responses,
-                                FaultRecordSink* sink, std::uint64_t sweepId,
-                                const RunControl& control = {});
-
-/// Range form: diagnoses only responses[rangeLo, min(rangeHi, size)), each
-/// fault published under its *absolute* index — shard i of N runs its
-/// fault-range slice through this and merge-journals reassembles the full
-/// sweep. The returned DrReport covers only the range.
-DrReport evaluateWithCheckpointRange(const DiagnosisPipeline& pipeline,
-                                     const std::vector<FaultResponse>& responses,
-                                     FaultRecordSink* sink, std::uint64_t sweepId,
-                                     std::size_t rangeLo, std::size_t rangeHi,
-                                     const RunControl& control = {});
 
 }  // namespace scandiag

@@ -39,11 +39,28 @@ class DrAccumulator {
   std::uint64_t sumActual_ = 0;
 };
 
+/// DR plus the diagnosis ladder's outcome over the same faults. A clean
+/// single-fault run leaves everything after sumActual at its default.
 struct DrReport {
   double dr = 0.0;
   std::size_t faults = 0;
   std::uint64_t sumCandidates = 0;
   std::uint64_t sumActual = 0;
+  /// Faults with at least one exonerated true failing cell.
+  std::size_t misdiagnosed = 0;
+  /// Faults whose candidate set came back empty.
+  std::size_t emptyCandidates = 0;
+  /// Faults answered superset-only (FaultDiagnosis::resolved == false).
+  std::size_t unresolved = 0;
+  double meanConfidence = 1.0;
+  std::size_t inconsistencies = 0;
+  /// Sessions beyond the base schedules (retries, refinement, ATPG, samples).
+  std::size_t extraSessions = 0;
+  std::size_t unionSplits = 0;
+  std::size_t atpgPatterns = 0;
+
+  double misdiagnosisRate() const { return faults ? 1.0 * misdiagnosed / faults : 0.0; }
+  double emptyRate() const { return faults ? 1.0 * emptyCandidates / faults : 0.0; }
 };
 
 }  // namespace scandiag

@@ -108,12 +108,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
   out.candidates.positions = out.confirmed | out.unresolved;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.complete = out.unresolved.none();
-  bool inRun = false;
-  for (std::size_t i = 0; i < length; ++i) {
-    const bool c = out.confirmed.test(i);
-    if (c && !inRun) ++out.failingClusters;
-    inRun = c;
-  }
+  out.failingClusters = countClusters(out.confirmed);
   out.withinFaultBudget = out.failingClusters <= config_.maxFaults;
   out.cost = repeatedSessionsCost(out.sessions, numPatterns_, topology_->maxChainLength());
   return out;
@@ -135,6 +130,14 @@ std::vector<double> adiPriorFromGoodCaptures(const ScanTopology& topology,
         static_cast<double>(transitions) / static_cast<double>(stream.size() - 1);
   }
   return prior;
+}
+
+std::size_t countClusters(const BitVector& positions) {
+  std::size_t clusters = 0;
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    if (positions.test(i) && (i == 0 || !positions.test(i - 1))) ++clusters;
+  }
+  return clusters;
 }
 
 }  // namespace scandiag

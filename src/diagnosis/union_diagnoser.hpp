@@ -94,6 +94,9 @@ class UnionDiagnoser {
   std::size_t numPatterns_;
 };
 
+/// Maximal runs of set positions: the isolated per-fault clusters.
+std::size_t countClusters(const BitVector& positions);
+
 /// ADI prior from fault-free capture streams: weight of a selection position
 /// is the summed transition density of the good capture streams of the cells
 /// at that position. Cells whose captures toggle under many patterns are

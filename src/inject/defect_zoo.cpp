@@ -10,7 +10,6 @@
 #include "atpg/podem.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_list.hpp"
 #include "sim/open_faults.hpp"
@@ -194,6 +193,15 @@ FaultResponse maskResponse(const FaultResponse& response, const BitVector& activ
   return out;
 }
 
+FaultResponse simulateComponent(const FaultSimulator& simulator, const DefectComponent& component) {
+  switch (component.kind) {
+    case DefectKind::Bridge: return simulateBridge(simulator, component.bridge);
+    case DefectKind::StuckOpen: return simulateOpen(simulator, component.fault.gate);
+    case DefectKind::StuckAt: break;
+  }
+  return simulator.simulate(component.fault);
+}
+
 // ---------------------------------------------------------------------------
 // Scenario generation.
 
@@ -223,53 +231,36 @@ DefectScenario DefectScenarioGenerator::generate(std::size_t index) const {
 
   std::set<GateId> usedSites;
   for (std::size_t c = 0; c < mix_.k; ++c) {
-    DefectComponent comp;
     bool drawn = false;
     for (std::size_t tries = 0; tries < kMaxDrawTries && !drawn; ++tries) {
-      const DefectKind kind = kinds[rng.nextBelow(kinds.size())];
-      switch (kind) {
-        case DefectKind::StuckAt: {
-          const FaultSite site = stuckPool_[rng.nextBelow(stuckPool_.size())];
-          if (usedSites.count(site.gate) != 0) break;
-          FaultResponse resp = sim_->simulate(site);
-          if (!resp.detected()) break;
-          comp.kind = kind;
-          comp.fault = site;
-          comp.response = std::move(resp);
-          usedSites.insert(site.gate);
-          drawn = true;
+      DefectComponent comp;
+      comp.kind = kinds[rng.nextBelow(kinds.size())];
+      std::vector<GateId> sites;
+      switch (comp.kind) {
+        case DefectKind::StuckAt:
+          comp.fault = stuckPool_[rng.nextBelow(stuckPool_.size())];
+          sites = {comp.fault.gate};
           break;
-        }
-        case DefectKind::Bridge: {
-          const BridgeFault bridge = bridgePool_[rng.nextBelow(bridgePool_.size())];
-          if (usedSites.count(bridge.a) != 0 || usedSites.count(bridge.b) != 0) break;
-          FaultResponse resp = simulateBridge(*sim_, bridge);
-          if (!resp.detected()) break;
-          comp.kind = kind;
-          comp.bridge = bridge;
-          comp.fault = resp.fault;
-          comp.response = std::move(resp);
-          usedSites.insert(bridge.a);
-          usedSites.insert(bridge.b);
-          drawn = true;
+        case DefectKind::Bridge:
+          comp.bridge = bridgePool_[rng.nextBelow(bridgePool_.size())];
+          sites = {comp.bridge.a, comp.bridge.b};
           break;
-        }
-        case DefectKind::StuckOpen: {
-          const GateId site = openPool_[rng.nextBelow(openPool_.size())];
-          if (usedSites.count(site) != 0) break;
-          FaultResponse resp = simulateOpen(*sim_, site);
-          if (!resp.detected()) break;
-          comp.kind = kind;
-          comp.fault = resp.fault;
-          comp.response = std::move(resp);
-          usedSites.insert(site);
-          drawn = true;
+        case DefectKind::StuckOpen:
+          comp.fault.gate = openPool_[rng.nextBelow(openPool_.size())];
+          sites = {comp.fault.gate};
           break;
-        }
       }
+      if (std::any_of(sites.begin(), sites.end(),
+                      [&](GateId g) { return usedSites.count(g) != 0; }))
+        continue;
+      comp.response = simulateComponent(*sim_, comp);
+      if (!comp.response.detected()) continue;
+      comp.fault = comp.response.fault;
+      usedSites.insert(sites.begin(), sites.end());
+      out.components.push_back(std::move(comp));
+      drawn = true;
     }
     SCANDIAG_REQUIRE(drawn, "could not draw a detected defect component (pool too sparse)");
-    out.components.push_back(std::move(comp));
   }
 
   if (mix_.intermittentP > 0.0) {
@@ -295,10 +286,9 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
                                      const ScanTopology& topology,
                                      const DiagnosisConfig& config, const DefectPolicy& policy)
     : sim_(&simulator),
-      topology_(&topology),
-      base_(topology, config),
-      recovery_(topology, policy.retry),
-      refiner_(topology, UnionRefineConfig{policy.refineSessionBudget, policy.maxFaults},
+      base_(topology, config, NoiseConfig{}, policy.retry),
+      refiner_(topology,
+               UnionRefineConfig{policy.refineSessionBudget, policy.retry.maxUnionFaults},
                simulator.patterns().numPatterns()),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
@@ -310,64 +300,53 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
 
 DefectZooPipeline::~DefectZooPipeline() = default;
 
-DefectDiagnosis DefectZooPipeline::diagnose(const DefectScenario& scenario) const {
-  obs::count(obs::Counter::DefectScenariosRun);
+FaultDiagnosis DefectZooPipeline::diagnose(const DefectScenario& scenario,
+                                           SessionBatchScratch* scratch) const {
   SCANDIAG_REQUIRE(!scenario.components.empty(), "empty defect scenario");
-  if (scenario.intermittent()) return diagnoseIntermittent(scenario);
-  return diagnosePermanent(scenario);
+  FaultInput input{scenario.composed, scenario.index, /*multiDefect=*/true};
+  if (scenario.intermittent()) {
+    // Each (attempt, partition) draws its own replayable activation stream.
+    input.observe = [&](std::size_t attempt, std::size_t partition) {
+      return effectiveResponse(scenario, attempt, partition);
+    };
+    input.samples = policy_.intermittentSamples;
+    return base_.diagnose(input, scratch);
+  }
+  // A genuine permanent union replays bit-identically, so the ladder's
+  // recover stage short-circuits any DisjointFailingUnion report into the
+  // checked union mode after one confirming re-run.
+  FaultDiagnosis d = base_.diagnose(input, scratch);
+  refine(scenario, d);
+  return d;
 }
 
-DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scenario) const {
+void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d) const {
   const FaultResponse& response = scenario.composed;
-  const DiagnosisConfig& config = base_.config();
-  const std::size_t numPatterns = sim_->patterns().numPatterns();
-  const std::size_t chainLength = topology_->maxChainLength();
-
-  DefectDiagnosis out;
-  out.actualCount = response.failingCellCount();
-  out.cost = partitionRunCost(config.numPartitions, config.groupsPerPartition, numPatterns,
-                              chainLength);
-
-  // Detection + bounded recovery. A genuine permanent union replays
-  // bit-identically, so any DisjointFailingUnion report short-circuits into
-  // the checked union mode after one confirming re-run (satellite fix).
-  const PreparedPartitionSet& prepared = base_.prepared();
-  const GroupVerdicts verdicts = base_.engine().run(prepared, response);
-  const PartitionRerun rerun = [&](std::size_t partition, std::size_t) {
-    return base_.engine().runPartition(prepared, partition, response);
-  };
-  const RecoveredDiagnosis recovered = recovery_.recover(prepared, verdicts, rerun);
-  out.inconsistencies = recovered.inconsistencies.size();
-  out.extraSessions = recovered.retrySessions;
-  out.cost += repeatedSessionsCost(recovered.retrySessions, numPatterns, chainLength);
-  out.confidence = recovered.confidence;
-  if (recovered.unionDiagnosis && recovered.unionClusters > 1) {
-    out.unionSplits += recovered.unionClusters - 1;
-  }
-
-  CandidateSet candidates = recovered.candidates;
-  bool degraded = !recovered.resolved;
+  const ScanTopology& topology = base_.topology();
+  const std::size_t chainLength = topology.maxChainLength();
+  const std::size_t maxFaults = policy_.retry.maxUnionFaults;
+  bool degraded = !d.resolved;
   // Recovery counts DegradedSupersets itself on the over-budget union path;
   // remember so the final accounting does not double-count.
-  const bool recoveryCounted = recovered.unionDiagnosis && !recovered.resolved;
+  const bool recoveryCounted = d.unionClusters > 0 && !d.resolved;
 
   // Active refinement: interval sessions shrink the passive superset's
   // accidental survivors, highest-ADI segments first.
   std::size_t unresolvedLeft = 0;
-  std::size_t clusters = recovered.unionDiagnosis ? recovered.unionClusters : 1;
-  if (policy_.refineSessionBudget > 0 && candidates.positions.any()) {
-    const BitVector truePositions = topology_->collapseCells(response.failingCells);
+  std::size_t clusters = d.unionClusters > 0 ? d.unionClusters : 1;
+  if (policy_.refineSessionBudget > 0 && d.candidates.positions.any()) {
+    const BitVector truePositions = topology.collapseCells(response.failingCells);
     const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi, std::size_t) {
       for (std::size_t p = lo; p < hi; ++p) {
         if (truePositions.test(p)) return true;
       }
       return false;
     };
-    const UnionRefinement refined = refiner_.refine(candidates.positions, adiPrior_, oracle);
-    out.unionSplits += refined.splits;
-    out.extraSessions += refined.sessions;
-    out.cost += refined.cost;
-    candidates = refined.candidates;
+    const UnionRefinement refined = refiner_.refine(d.candidates.positions, adiPrior_, oracle);
+    d.unionSplits += refined.splits;
+    d.extraSessions += refined.sessions;
+    d.cost += refined.cost;
+    d.candidates = refined.candidates;
 
     BitVector confirmed = refined.confirmed;
     BitVector pendingMask = refined.unresolved;
@@ -388,9 +367,9 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
       for (const std::size_t pos : pending) {
         if (atpgSessions >= policy_.atpgSessionBudget) break;
         std::vector<TestCube> cubes;
-        for (std::size_t chain = 0; chain < topology_->numChains(); ++chain) {
-          if (pos >= topology_->chainLength(chain)) continue;
-          const GateId dff = dffs.at(topology_->chain(chain)[pos]);
+        for (std::size_t chain = 0; chain < topology.numChains(); ++chain) {
+          if (pos >= topology.chainLength(chain)) continue;
+          const GateId dff = dffs.at(topology.chain(chain)[pos]);
           for (const bool stuckAt : {false, true}) {
             const AtpgResult result =
                 atpg_->generate(FaultSite{dff, 0, stuckAt}, policy_.atpgBacktrackLimit);
@@ -399,148 +378,50 @@ DefectDiagnosis DefectZooPipeline::diagnosePermanent(const DefectScenario& scena
         }
         if (cubes.empty()) continue;  // untestable capture path: stays unresolved
         obs::count(obs::Counter::AtpgPatternsGenerated, cubes.size());
-        out.atpgPatterns += cubes.size();
+        d.atpgPatterns += cubes.size();
         ++atpgSessions;
-        ++out.extraSessions;
+        ++d.extraSessions;
         const PatternSet distinguishing =
             patternsFromCubes(netlist, cubes, 0xF1ULL ^ scenario.seed);
-        out.cost += distinguishingSessionCost(distinguishing.numPatterns(), chainLength);
+        d.cost += distinguishingSessionCost(distinguishing.numPatterns(), chainLength);
         // Local simulator: the shared instance is not thread-safe, and the
         // distinguishing patterns need their own good machine anyway.
         const FaultSimulator local(netlist, distinguishing);
         std::vector<FaultResponse> partResponses;
         partResponses.reserve(scenario.components.size());
         for (const DefectComponent& comp : scenario.components) {
-          switch (comp.kind) {
-            case DefectKind::StuckAt: partResponses.push_back(local.simulate(comp.fault)); break;
-            case DefectKind::Bridge: partResponses.push_back(simulateBridge(local, comp.bridge)); break;
-            case DefectKind::StuckOpen:
-              partResponses.push_back(simulateOpen(local, comp.fault.gate));
-              break;
-          }
+          partResponses.push_back(simulateComponent(local, comp));
         }
         std::vector<const FaultResponse*> parts;
         parts.reserve(partResponses.size());
         for (const FaultResponse& r : partResponses) parts.push_back(&r);
         const FaultResponse mini = composeUnionResponse(parts);
-        if (mini.failingCells.size() == topology_->numCells() &&
-            topology_->collapseCells(mini.failingCells).test(pos)) {
+        if (mini.failingCells.size() == topology.numCells() &&
+            topology.collapseCells(mini.failingCells).test(pos)) {
           confirmed.set(pos);
-          BitVector cleared(pendingMask.size());
-          cleared.set(pos);
-          pendingMask.andNot(cleared);
+          pendingMask.reset(pos);
         }
       }
     }
 
     unresolvedLeft = pendingMask.count();
     // Cluster accounting over everything confirmed failing (refinement +
-    // ATPG confirmations): maximal runs = isolated per-fault segments.
-    clusters = 0;
-    bool inRun = false;
-    for (std::size_t p = 0; p < confirmed.size(); ++p) {
-      const bool c = confirmed.test(p);
-      if (c && !inRun) ++clusters;
-      inRun = c;
-    }
-    if (unresolvedLeft > 0 || clusters > policy_.maxFaults) degraded = true;
+    // ATPG confirmations).
+    clusters = countClusters(confirmed);
+    if (unresolvedLeft > 0 || clusters > maxFaults) degraded = true;
   }
 
-  if (clusters > policy_.maxFaults) out.confidence *= 0.5;
-  if (unresolvedLeft > 0) out.confidence *= std::pow(0.97, static_cast<double>(unresolvedLeft));
-  out.confidence = std::clamp(out.confidence, kConfidenceFloor, 1.0);
+  // Degrade: confidence decays with every cluster over budget and every
+  // position left unresolved.
+  if (clusters > maxFaults) d.confidence *= 0.5;
+  if (unresolvedLeft > 0) d.confidence *= std::pow(0.97, static_cast<double>(unresolvedLeft));
+  d.confidence = std::clamp(d.confidence, kConfidenceFloor, 1.0);
 
-  out.candidates = std::move(candidates);
-  out.candidates.cells = topology_->expandPositions(out.candidates.positions);
-  out.candidateCount = out.candidates.cellCount();
-  out.resolved = !degraded;
-  out.degraded = degraded;
-  out.misdiagnosed = !response.failingCells.isSubsetOf(out.candidates.cells);
+  d.candidates.cells = topology.expandPositions(d.candidates.positions);
+  d.candidateCount = d.candidates.cellCount();
+  d.resolved = !degraded;
+  d.misdiagnosed = !response.failingCells.isSubsetOf(d.candidates.cells);
   if (degraded && !recoveryCounted) obs::count(obs::Counter::DegradedSupersets);
-  return out;
-}
-
-DefectDiagnosis DefectZooPipeline::diagnoseIntermittent(const DefectScenario& scenario) const {
-  const DiagnosisConfig& config = base_.config();
-  const std::size_t numPatterns = sim_->patterns().numPatterns();
-  const std::size_t chainLength = topology_->maxChainLength();
-  const PreparedPartitionSet& prepared = base_.prepared();
-  const std::vector<Partition>& partitions = prepared.partitions();
-  const std::size_t numPartitions = partitions.size();
-  const std::size_t samples = std::max<std::size_t>(1, policy_.intermittentSamples);
-
-  DefectDiagnosis out;
-
-  // Observe `samples` full schedules; each (attempt, partition) draws its own
-  // replayable activation stream, exactly like a tester re-running sessions
-  // against a flaky defect.
-  GroupVerdicts all;
-  all.failing.reserve(numPartitions * samples);
-  std::vector<Partition> allPartitions;
-  allPartitions.reserve(numPartitions * samples);
-  GroupVerdicts firstSample;
-  BitVector manifested(scenario.composed.failingCells.size());
-  for (std::size_t attempt = 0; attempt < samples; ++attempt) {
-    for (std::size_t p = 0; p < numPartitions; ++p) {
-      const FaultResponse effective = effectiveResponse(scenario, attempt, p);
-      manifested |= effective.failingCells;
-      PartitionVerdictRow row = base_.engine().runPartition(prepared, p, effective);
-      all.failing.push_back(std::move(row.failing));
-      allPartitions.push_back(partitions[p]);
-      if (attempt == 0) firstSample.failing.push_back(all.failing.back());
-    }
-  }
-  out.actualCount = manifested.count();
-  out.cost = partitionRunCost(numPartitions * samples, config.groupsPerPartition, numPatterns,
-                              chainLength);
-  out.extraSessions = (samples - 1) * numPartitions * config.groupsPerPartition;
-
-  const CheckedAnalysis checked = base_.analyzer().analyzeChecked(partitions, firstSample);
-  out.inconsistencies = checked.inconsistencies.size();
-
-  // Intermittency starves the intersection (a pass no longer exonerates), so
-  // even the union mode's per-cluster intersections are unsound — take the
-  // superset floor across every observed session: a guaranteed superset of
-  // everything that manifested, by construction (degrade-never-lie).
-  const UnionAnalysis unions =
-      base_.analyzer().analyzeUnion(allPartitions, all, policy_.maxFaults);
-  if (unions.clusters > 1) {
-    out.unionSplits = unions.clusters - 1;
-    obs::count(obs::Counter::UnionSplits, out.unionSplits);
-  }
-  out.candidates = unions.supersetFloor;
-  out.candidateCount = out.candidates.cellCount();
-  out.resolved = false;
-  out.degraded = true;
-  obs::count(obs::Counter::DegradedSupersets);
-
-  // Calibrated confidence: estimate the activation rate from group-verdict
-  // stability across samples; the miss probability (an intermittent component
-  // silent in every sample) bounds how much of the defect we can have seen.
-  std::size_t everFailing = 0;
-  double fractionSum = 0.0;
-  for (std::size_t p = 0; p < numPartitions; ++p) {
-    const std::size_t groups = all.failing[p].size();
-    for (std::size_t g = 0; g < groups; ++g) {
-      std::size_t fails = 0;
-      for (std::size_t attempt = 0; attempt < samples; ++attempt) {
-        if (all.failing[attempt * numPartitions + p].test(g)) ++fails;
-      }
-      if (fails > 0) {
-        ++everFailing;
-        fractionSum += static_cast<double>(fails) / static_cast<double>(samples);
-      }
-    }
-  }
-  const double activationEstimate = everFailing > 0 ? fractionSum / static_cast<double>(everFailing) : 0.0;
-  const double missProbability = std::pow(1.0 - activationEstimate, static_cast<double>(samples));
-  out.confidence = std::clamp((1.0 - missProbability) * 0.95, kConfidenceFloor, 0.95);
-
-  out.misdiagnosed = manifested.size() == out.candidates.cells.size() &&
-                             manifested.any()
-                         ? !manifested.isSubsetOf(out.candidates.cells)
-                         : false;
-  return out;
 }
 
 FaultResponse DefectZooPipeline::effectiveResponse(const DefectScenario& scenario,
@@ -565,35 +446,16 @@ FaultResponse DefectZooPipeline::effectiveResponse(const DefectScenario& scenari
   return composeUnionResponse(parts);
 }
 
-DefectZooReport DefectZooPipeline::evaluate(const std::vector<DefectScenario>& scenarios) const {
-  DefectZooReport report;
-  const std::size_t n = scenarios.size();
-  std::vector<DefectDiagnosis> slots(n);
-  // Index-partitioned workers + index-ordered fold: bit-identical at every
-  // thread count (diagnose() is thread-safe const — the shared FaultSimulator
-  // is only read, never simulated on).
-  globalPool().parallelFor(n, [&](std::size_t i) { slots[i] = diagnose(scenarios[i]); });
-
-  DrAccumulator acc;
-  double confidenceSum = 0.0;
-  std::size_t misdiagnosed = 0;
-  for (const DefectDiagnosis& d : slots) {
-    acc.add(d.candidateCount, d.actualCount);
-    confidenceSum += d.confidence;
-    if (d.misdiagnosed) ++misdiagnosed;
-    if (!d.resolved) ++report.degraded;
-    report.totalInconsistencies += d.inconsistencies;
-    report.totalUnionSplits += d.unionSplits;
-    report.totalAtpgPatterns += d.atpgPatterns;
-    report.totalExtraSessions += d.extraSessions;
-  }
-  report.scenarios = n;
-  report.sumCandidates = acc.sumCandidates();
-  report.sumActual = acc.sumActual();
-  report.dr = acc.sumActual() > 0 ? acc.dr() : 0.0;
-  report.misdiagnosisRate = n > 0 ? static_cast<double>(misdiagnosed) / static_cast<double>(n) : 0.0;
-  report.meanConfidence = n > 0 ? confidenceSum / static_cast<double>(n) : 1.0;
-  return report;
+DrReport DefectZooPipeline::evaluate(const std::vector<DefectScenario>& scenarios,
+                                     const RunControl& control) const {
+  // diagnose() is thread-safe const — the shared FaultSimulator is only read,
+  // never simulated on.
+  return base_.evaluateEach(
+      scenarios.size(),
+      [&](std::size_t i, SessionBatchScratch& scratch, std::uint64_t*) {
+        return std::optional<FaultDiagnosis>(diagnose(scenarios[i], &scratch));
+      },
+      control);
 }
 
 }  // namespace scandiag

@@ -18,17 +18,17 @@
 //    the per-pattern activation mask is a pure function of
 //    (seed, scenario, component, attempt, partition), so every re-run of a
 //    partition draws an independent but replayable stream.
-//  * **Diagnosis** (DefectZooPipeline) layers the checked union mode and
-//    recovery short-circuit (src/diagnosis/recovery) under an active
-//    refinement stage (src/diagnosis/union_diagnoser) and a PODEM stall
-//    breaker, with the degrade-never-lie contract throughout: when k
-//    exceeds the resolvable budget or intermittency starves the majority
-//    vote, the result is a guaranteed-superset candidate set with a
-//    calibrated confidence — never an error, never an exonerated true
-//    failing cell. PODEM distinguishing patterns can only *confirm*
-//    candidates (cheaply, one mini-session per stalled position); they never
-//    exonerate, because a targeted pattern pair cannot prove an upstream
-//    defect silent.
+//  * **Diagnosis** runs each scenario through DiagnosisPipeline's ladder as a
+//    multi-defect verdict source; DefectZooPipeline adds only the refine
+//    stage — ADI-ordered interval refinement (src/diagnosis/union_diagnoser)
+//    and a PODEM stall breaker — with the degrade-never-lie contract
+//    throughout: when k exceeds the resolvable budget or intermittency
+//    starves the majority vote, the result is a guaranteed-superset
+//    candidate set with a calibrated confidence — never an error, never an
+//    exonerated true failing cell. PODEM distinguishing patterns can only
+//    *confirm* candidates (cheaply, one mini-session per stalled position);
+//    they never exonerate, because a targeted pattern pair cannot prove an
+//    upstream defect silent.
 #pragma once
 
 #include <cstdint>
@@ -99,6 +99,10 @@ struct DefectScenario {
   bool intermittent() const;
 };
 
+/// A component's permanent response on `simulator` (a stuck-open by its
+/// site, component.fault.gate).
+FaultResponse simulateComponent(const FaultSimulator& simulator, const DefectComponent& component);
+
 /// OR-composition of per-component responses (the union overlay).
 FaultResponse composeUnionResponse(const std::vector<const FaultResponse*>& parts);
 
@@ -137,13 +141,12 @@ class DefectScenarioGenerator {
 };
 
 struct DefectPolicy {
-  /// Recovery budget for the detection → retry → union short-circuit ladder.
+  /// Recovery budget of the ladder; maxUnionFaults also bounds the clusters
+  /// of refinement and of the intermittent superset floor.
   RetryPolicy retry{/*maxRetriesPerSession=*/2, /*sessionBudget=*/256,
                     /*maxUnionFaults=*/4};
   /// Active-refinement interval sessions per scenario (0 disables).
   std::size_t refineSessionBudget = 96;
-  /// Simultaneous-fault budget for refinement cluster accounting.
-  std::size_t maxFaults = 4;
   /// PODEM mini-sessions per scenario when refinement stalls (0 disables).
   std::size_t atpgSessionBudget = 16;
   std::size_t atpgBacktrackLimit = 2000;
@@ -151,29 +154,23 @@ struct DefectPolicy {
   std::size_t intermittentSamples = 3;
 };
 
-struct DefectDiagnosis {
-  CandidateSet candidates;
-  std::size_t candidateCount = 0;
-  /// Permanent scenarios: composed failing cells. Intermittent scenarios:
-  /// cells that actually manifested in the observed (masked) sessions.
-  std::size_t actualCount = 0;
-  /// Ground truth: some true failing cell missing from the candidates — the
-  /// violation the degrade-never-lie contract forbids.
-  bool misdiagnosed = false;
-  /// False = superset-only answer (CLI exit code 8): refinement incomplete,
-  /// union clusters over budget, or intermittency degradation.
-  bool resolved = true;
-  bool degraded = false;
-  double confidence = 1.0;
-  std::size_t inconsistencies = 0;
-  std::size_t unionSplits = 0;
-  std::size_t atpgPatterns = 0;
-  /// Sessions beyond the base schedule (retries + refinement + ATPG).
-  std::size_t extraSessions = 0;
-  DiagnosisCost cost;
-};
-
+/// A DrReport under the defect-zoo names perfbench/trace_driver.cpp reads
+/// (scenarios for faults, degraded for unresolved, total* for the sums).
 struct DefectZooReport {
+  DefectZooReport() = default;
+  DefectZooReport(const DrReport& rep)  // NOLINT(google-explicit-constructor)
+      : dr(rep.dr),
+        scenarios(rep.faults),
+        sumCandidates(rep.sumCandidates),
+        sumActual(rep.sumActual),
+        misdiagnosisRate(rep.misdiagnosisRate()),
+        meanConfidence(rep.meanConfidence),
+        degraded(rep.unresolved),
+        totalInconsistencies(rep.inconsistencies),
+        totalUnionSplits(rep.unionSplits),
+        totalAtpgPatterns(rep.atpgPatterns),
+        totalExtraSessions(rep.extraSessions) {}
+
   double dr = 0.0;
   std::size_t scenarios = 0;
   std::uint64_t sumCandidates = 0;
@@ -198,28 +195,30 @@ class DefectZooPipeline {
   ~DefectZooPipeline();
   DefectZooPipeline(DefectZooPipeline&&) = default;
 
+  /// The ladder every scenario runs through; a single fault diagnoses cleanly.
   const DiagnosisPipeline& base() const { return base_; }
-  const DefectPolicy& policy() const { return policy_; }
 
-  /// One scenario through detection → union analysis → refinement → PODEM →
-  /// degradation. Thread-safe const (parallel evaluate workers share it).
-  DefectDiagnosis diagnose(const DefectScenario& scenario) const;
+  /// One scenario through the ladder, then (permanent scenarios) the refine
+  /// stage. Thread-safe const (parallel evaluate workers share it).
+  FaultDiagnosis diagnose(const DefectScenario& scenario,
+                          SessionBatchScratch* scratch = nullptr) const;
 
-  /// Diagnoses `scenarios`; bit-identical at every thread count.
-  DefectZooReport evaluate(const std::vector<DefectScenario>& scenarios) const;
+  /// Diagnoses `scenarios` through the ladder's evaluate loop; bit-identical
+  /// at every thread count. `control` is polled between scenarios.
+  DrReport evaluate(const std::vector<DefectScenario>& scenarios,
+                    const RunControl& control = {}) const;
 
  private:
-  DefectDiagnosis diagnosePermanent(const DefectScenario& scenario) const;
-  DefectDiagnosis diagnoseIntermittent(const DefectScenario& scenario) const;
+  /// Active refinement + PODEM stall breaker over a permanent scenario's
+  /// ladder answer, then the final confidence and degradation accounting.
+  void refine(const DefectScenario& scenario, FaultDiagnosis& d) const;
   /// Composed response a tester observing (attempt, partition) would see:
   /// permanent components plus activation-masked intermittent components.
   FaultResponse effectiveResponse(const DefectScenario& scenario, std::size_t attempt,
                                   std::size_t partition) const;
 
   const FaultSimulator* sim_;
-  const ScanTopology* topology_;
   DiagnosisPipeline base_;
-  DiagnosisRecovery recovery_;
   UnionDiagnoser refiner_;
   DefectPolicy policy_;
   std::vector<double> adiPrior_;

@@ -81,8 +81,8 @@ class DiagnosisService {
   /// Defect-zoo scenario: regenerates the (spec, seed, index) scenario
   /// deterministically and diagnoses its permanent union overlay through the
   /// same per-partition deadline-aware loop (intermittent components are
-  /// diagnosed at their permanent envelope — the sampling path lives in
-  /// DefectZooPipeline, not the service).
+  /// diagnosed at their permanent envelope — the sampled schedule is the
+  /// batch ladder's, not the service's).
   DiagnoseReply handleDefect(const DiagnoseRequest& request, DiagnoseReply reply,
                              const RunControl& control, const Watchdog* deadline) const;
   /// The shared back half: per-partition evaluation of `response` under

@@ -139,7 +139,7 @@ SocSweepResult runSocClassSweep(const Soc& soc, const WorkloadConfig& workload,
     row.classHash = plan.hash;
     row.instanceCount = plan.instances.size();
     row.responseCount = r;
-    row.report = evaluateWithCheckpointRange(pipeline, responses, sink, sweepId, lo, hi, control);
+    row.report = pipeline.evaluate(responses, control, SweepJournal{sink, sweepId, lo, hi});
     result.classes.push_back(std::move(row));
     result.manifests.push_back(std::move(manifest));
   }

@@ -81,8 +81,8 @@ std::vector<SocDrRow> evaluateSocDr(const Soc& soc, const WorkloadConfig& worklo
     control.throwIfStopped();
     const std::vector<FaultResponse> responses = socResponsesForFailingCore(soc, k, workload);
     rows[k] = SocDrRow{soc.core(k).name,
-                       evaluateWithCheckpoint(pipeline, responses, checkpoint,
-                                              socSweepIdFor(config, k), control)};
+                       pipeline.evaluate(responses, control,
+                                         SweepJournal{checkpoint, socSweepIdFor(config, k)})};
   });
   return rows;
 }

@@ -1,0 +1,42 @@
+#!/usr/bin/env python3
+"""Runs one command and checks its exit code, stderr, and an output file.
+
+    expect_exit.py --exit 2 --stderr "unknown option" -- scandiag dr s953 --jsno
+    expect_exit.py --exit 8 --creates m.json -- scandiag dr s953 --defects 2 ...
+
+--creates PATH removes PATH before the run and requires it to exist after.
+"""
+import argparse
+import os
+import subprocess
+import sys
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--exit", type=int, required=True, help="expected exit code")
+    parser.add_argument("--stderr", default="", help="text stderr must contain")
+    parser.add_argument("--creates", default="", help="file the command must write")
+    parser.add_argument("command", nargs=argparse.REMAINDER)
+    opts = parser.parse_args()
+    command = opts.command[1:] if opts.command[:1] == ["--"] else opts.command
+    if opts.creates and os.path.exists(opts.creates):
+        os.remove(opts.creates)
+
+    proc = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    problems = []
+    if proc.returncode != opts.exit:
+        problems.append(f"exit {proc.returncode}, expected {opts.exit}")
+    if opts.stderr not in proc.stderr:
+        problems.append(f"stderr lacks {opts.stderr!r}")
+    if opts.creates and not os.path.exists(opts.creates):
+        problems.append(f"{opts.creates} was not written")
+    for problem in problems:
+        print(f"FAIL {' '.join(command)}: {problem}")
+    if problems:
+        print(f"stderr:\n{proc.stderr}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

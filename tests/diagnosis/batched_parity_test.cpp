@@ -18,7 +18,6 @@
 
 #include "common/thread_pool.hpp"
 #include "core/scandiag.hpp"
-#include "inject/noisy_pipeline.hpp"
 #include "obs/metrics.hpp"
 
 namespace scandiag {
@@ -205,26 +204,26 @@ TEST_F(BatchedParity, NoisyPipelineBitIdenticalAcrossScorers) {
   for (const std::string circuit : {"s344", "s953"}) {
     const CircuitWorkload& work = workloadFor(circuit);
     for (SchemeKind scheme : kSchemes) {
-      const NoisyPipeline reference(work.topology,
+      const DiagnosisPipeline reference(work.topology,
                                     configFor(scheme, false, /*batched=*/false), noise, retry);
-      const NoisyPipeline batched(work.topology, configFor(scheme, false, /*batched=*/true),
+      const DiagnosisPipeline batched(work.topology, configFor(scheme, false, /*batched=*/true),
                                   noise, retry);
       setGlobalThreadCount(1);
-      const NoisyDrReport expected = reference.evaluate(work.responses);
+      const DrReport expected = reference.evaluate(work.responses);
       for (std::size_t threads : kThreadCounts) {
         setGlobalThreadCount(threads);
         const std::string what =
             circuit + "/" + schemeName(scheme) + "+noise @" + std::to_string(threads);
-        const NoisyDrReport actual = batched.evaluate(work.responses);
+        const DrReport actual = batched.evaluate(work.responses);
         EXPECT_EQ(expected.dr, actual.dr) << what;
         EXPECT_EQ(expected.faults, actual.faults) << what;
         EXPECT_EQ(expected.sumCandidates, actual.sumCandidates) << what;
         EXPECT_EQ(expected.sumActual, actual.sumActual) << what;
-        EXPECT_EQ(expected.misdiagnosisRate, actual.misdiagnosisRate) << what;
-        EXPECT_EQ(expected.emptyRate, actual.emptyRate) << what;
+        EXPECT_EQ(expected.misdiagnosisRate(), actual.misdiagnosisRate()) << what;
+        EXPECT_EQ(expected.emptyRate(), actual.emptyRate()) << what;
         EXPECT_EQ(expected.meanConfidence, actual.meanConfidence) << what;
-        EXPECT_EQ(expected.totalInconsistencies, actual.totalInconsistencies) << what;
-        EXPECT_EQ(expected.totalRetrySessions, actual.totalRetrySessions) << what;
+        EXPECT_EQ(expected.inconsistencies, actual.inconsistencies) << what;
+        EXPECT_EQ(expected.extraSessions, actual.extraSessions) << what;
         EXPECT_EQ(expected.unresolved, actual.unresolved) << what;
       }
     }

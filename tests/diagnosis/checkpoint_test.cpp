@@ -1,4 +1,4 @@
-// SweepCheckpoint / evaluateWithCheckpoint contract tests (test_diagnosis).
+// SweepCheckpoint / journaled DiagnosisPipeline::evaluate contract tests (test_diagnosis).
 //
 // The load-bearing claim: a run killed after K faults and resumed — at ANY
 // thread count — produces a DrReport and deterministic counter totals
@@ -118,7 +118,7 @@ TEST_F(CheckpointTest, FreshCheckpointMatchesPlainEvaluate) {
   SweepCheckpoint checkpoint(path, 0xD16, "fresh test", /*resume=*/false);
   const std::uint64_t sweepId = sweepIdFor(smallConfig());
   const DrReport ckpt =
-      evaluateWithCheckpoint(f.pipeline, f.work.responses, &checkpoint, sweepId);
+      f.pipeline.evaluate(f.work.responses, {}, SweepJournal{&checkpoint, sweepId});
 
   EXPECT_EQ(ckpt.dr, plain.dr);
   EXPECT_EQ(ckpt.faults, plain.faults);
@@ -141,7 +141,7 @@ TEST_F(CheckpointTest, ResumeAfterPrefixIsBitIdenticalAtAnyThreadCount) {
   DrReport full;
   {
     SweepCheckpoint checkpoint(fullPath, digest, "resume test", false);
-    full = evaluateWithCheckpoint(f.pipeline, f.work.responses, &checkpoint, sweepId);
+    full = f.pipeline.evaluate(f.work.responses, {}, SweepJournal{&checkpoint, sweepId});
   }
   obs::MetricsSnapshot fullCounters = obs::MetricsRegistry::instance().snapshot();
   const JournalContents complete = readJournal(fullPath);
@@ -169,7 +169,7 @@ TEST_F(CheckpointTest, ResumeAfterPrefixIsBitIdenticalAtAnyThreadCount) {
       SweepCheckpoint checkpoint(path, digest, "resume test", /*resume=*/true);
       EXPECT_EQ(checkpoint.hadTruncatedTail(), tornTail);
       const DrReport resumed =
-          evaluateWithCheckpoint(f.pipeline, f.work.responses, &checkpoint, sweepId);
+          f.pipeline.evaluate(f.work.responses, {}, SweepJournal{&checkpoint, sweepId});
 
       EXPECT_EQ(resumed.dr, full.dr) << threads << " threads, torn=" << tornTail;
       EXPECT_EQ(resumed.faults, full.faults);
@@ -239,8 +239,8 @@ TEST_F(CheckpointTest, CancellationUnwindsBetweenFaultsLeavingValidJournal) {
   CancellationToken token;
   token.cancel("test cancel");
   const RunControl control{&token, nullptr};
-  EXPECT_THROW(evaluateWithCheckpoint(f.pipeline, f.work.responses, &checkpoint,
-                                      sweepIdFor(smallConfig()), control),
+  EXPECT_THROW(f.pipeline.evaluate(f.work.responses, control,
+                                   SweepJournal{&checkpoint, sweepIdFor(smallConfig())}),
                OperationCancelled);
   // Pre-cancelled ⇒ no fault ran, and the journal is valid (header only).
   const JournalContents contents = readJournal(path);
@@ -252,8 +252,8 @@ TEST_F(CheckpointTest, VerdictDigestIsStableAcrossRuns) {
   Fixture& f = fixture();
   const FaultResponse& response = f.work.responses.front();
   std::uint64_t a = 0, b = 0;
-  const FaultDiagnosis da = f.pipeline.diagnoseDigested(response, &a);
-  const FaultDiagnosis db = f.pipeline.diagnoseDigested(response, &b);
+  const FaultDiagnosis da = f.pipeline.diagnose(FaultInput{response}, nullptr, &a);
+  const FaultDiagnosis db = f.pipeline.diagnose(FaultInput{response}, nullptr, &b);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, 0u);
   EXPECT_EQ(da.candidateCount, db.candidateCount);

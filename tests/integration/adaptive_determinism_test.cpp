@@ -14,7 +14,6 @@
 
 #include "common/thread_pool.hpp"
 #include "core/scandiag.hpp"
-#include "inject/noisy_pipeline.hpp"
 #include "obs/metrics.hpp"
 
 namespace scandiag {
@@ -90,22 +89,22 @@ TEST_F(AdaptiveDeterminism, NoisyEvaluateIsBitIdenticalAcrossThreadCounts) {
   noise.flipRate = 0.02;
   RetryPolicy retry;
   retry.sessionBudget = 24;
-  const NoisyPipeline pipeline(work().topology, adaptiveConfig(), noise, retry);
+  const DiagnosisPipeline pipeline(work().topology, adaptiveConfig(), noise, retry);
   setGlobalThreadCount(1);
-  const NoisyDrReport serial = pipeline.evaluate(work().responses);
+  const DrReport serial = pipeline.evaluate(work().responses);
   for (std::size_t threads : kThreadCounts) {
     setGlobalThreadCount(threads);
-    const NoisyDrReport parallel = pipeline.evaluate(work().responses);
+    const DrReport parallel = pipeline.evaluate(work().responses);
     const std::string what = "noisy adaptive @" + std::to_string(threads) + " threads";
     EXPECT_EQ(serial.faults, parallel.faults) << what;
     EXPECT_EQ(serial.sumCandidates, parallel.sumCandidates) << what;
     EXPECT_EQ(serial.sumActual, parallel.sumActual) << what;
     EXPECT_EQ(serial.dr, parallel.dr) << what;
-    EXPECT_EQ(serial.misdiagnosisRate, parallel.misdiagnosisRate) << what;
-    EXPECT_EQ(serial.emptyRate, parallel.emptyRate) << what;
+    EXPECT_EQ(serial.misdiagnosisRate(), parallel.misdiagnosisRate()) << what;
+    EXPECT_EQ(serial.emptyRate(), parallel.emptyRate()) << what;
     EXPECT_EQ(serial.meanConfidence, parallel.meanConfidence) << what;
-    EXPECT_EQ(serial.totalInconsistencies, parallel.totalInconsistencies) << what;
-    EXPECT_EQ(serial.totalRetrySessions, parallel.totalRetrySessions) << what;
+    EXPECT_EQ(serial.inconsistencies, parallel.inconsistencies) << what;
+    EXPECT_EQ(serial.extraSessions, parallel.extraSessions) << what;
     EXPECT_EQ(serial.unresolved, parallel.unresolved) << what;
   }
 }
@@ -151,7 +150,7 @@ TEST_F(AdaptiveDeterminism, NoisyMetricsCountersAreBitIdenticalAcrossThreadCount
   noise.flipRate = 0.02;
   RetryPolicy retry;
   retry.sessionBudget = 24;
-  const NoisyPipeline pipeline(work().topology, adaptiveConfig(), noise, retry);
+  const DiagnosisPipeline pipeline(work().topology, adaptiveConfig(), noise, retry);
   expectCountersThreadInvariant(
       kThreadCounts, [&] { pipeline.evaluate(work().responses); }, "noisy adaptive");
 }

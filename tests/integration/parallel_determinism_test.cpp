@@ -175,7 +175,7 @@ TEST_F(ParallelDeterminism, NoisyMetricsCountersAreBitIdenticalAcrossThreadCount
   noise.flipRate = 0.02;
   RetryPolicy retry;
   retry.sessionBudget = 24;
-  const NoisyPipeline pipeline(work.topology, configFor(SchemeKind::TwoStep, false), noise,
+  const DiagnosisPipeline pipeline(work.topology, configFor(SchemeKind::TwoStep, false), noise,
                                retry);
   expectCountersThreadInvariant(
       kThreadCounts, [&] { pipeline.evaluate(work.responses); }, "noisy two-step");

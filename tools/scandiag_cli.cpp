@@ -42,8 +42,8 @@
 //   --target X        DR target for plan (default 0.5)
 //   --metrics F       write a pipeline metrics snapshot (counters, phase
 //                     timers, worker utilization) to F as JSON after the
-//                     command finishes (any command; also flushed when the
-//                     command is interrupted and exits with code 6)
+//                     command finishes (any command; written on exit codes
+//                     0, 5, 6 and 8)
 //
 // Class-sweep / shard options (soc-dr, merge-journals):
 //   --class-sweep     force the class-sweep protocol for soc1/d695 (rep:
@@ -60,7 +60,8 @@
 // Crash safety / long-run options (dr, soc-dr):
 //   --deadline-ms N   watchdog: cancel the run after N milliseconds of wall
 //                     clock and exit 6 with whatever was journaled/flushed
-//   --checkpoint F    journal every completed fault to F (fsync'd, CRC-framed)
+//   --checkpoint F    journal every completed fault to F (fsync'd, CRC-framed);
+//                     clean runs only — a journal keeps only DR numbers
 //   --resume          continue from F instead of starting over; refuses a
 //                     journal written for a different circuit/workload setup;
 //                     final DR/counters are bit-identical to an uninterrupted
@@ -91,7 +92,7 @@
 //                     ladder; soc-dr: k simultaneous failing cores (stuck-at
 //                     only; bridge/open/intermittent are core-local models).
 //                     Takes precedence over the noise flags. Incompatible with
-//                     --scheme adaptive and (dr) with --checkpoint/--resume.
+//                     --scheme adaptive and with --checkpoint/--resume.
 //   --refine-budget N extra interval sessions per scenario for active union
 //                     refinement (default 96; 0 = passive superset only)
 //   --atpg-budget N   PODEM mini-sessions per scenario when refinement stalls
@@ -99,7 +100,7 @@
 //   --samples N       full-schedule observations for intermittent scenarios
 //                     (default 3)
 //
-// Noise / resilience options (diagnose, dr):
+// Noise / resilience options (diagnose, dr; the retry pair also soc-dr --defects):
 //   --noise R         raw verdict-flip rate per session (both directions)
 //   --intermittent R  intermittent fail->pass rate per failing session
 //   --xmask R         per-position X-masking rate
@@ -111,14 +112,16 @@
 // Exit codes:
 //   0  success
 //   1  internal/runtime failure
-//   2  usage error (bad flag, unknown scheme, missing argument)
+//   2  usage error (an option the command does not take, a non-numeric
+//      value, unknown scheme, missing argument, incompatible options)
 //   3  input file not found
 //   4  input file failed to parse
 //   5  diagnosis still inconsistent after the retry budget was exhausted
 //      (a widened candidate superset was still printed)
-//   6  interrupted (SIGINT/SIGTERM or watchdog deadline); the checkpoint
-//      journal and any --metrics snapshot were flushed and are valid; for
-//      serve: the drain completed, the request ledger balances
+//   6  interrupted (SIGINT/SIGTERM, or the --deadline-ms watchdog in any
+//      dr/soc-dr mode); the checkpoint journal and any --metrics snapshot
+//      were flushed and are valid; for serve: the drain completed, the
+//      request ledger balances
 //   7  server fatal (serve could not bind/listen or open its journal)
 //   8  defect diagnosis resolved only to a guaranteed superset under the
 //      defect budget (--defects: k exceeded the resolvable cluster budget,
@@ -126,13 +129,17 @@
 //      answer; the printed candidates are a sound superset with calibrated
 //      confidence — degrade, never lie)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <cstdlib>
+#include <iostream>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -158,33 +165,45 @@ enum ExitCode {
   kExitDefectSuperset = 8,
 };
 
-/// Diagnosis stayed inconsistent after recovery; the CLI maps this to exit 5.
-struct InconsistentDiagnosisError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 struct Args {
-  std::vector<std::string> positional;
+  std::vector<std::string> positional;  // [0] is the command
   std::map<std::string, std::string> options;
-  std::map<std::string, bool> flags;
+  std::set<std::string> flags;
 
-  static Args parse(int argc, char** argv) {
+  /// Parses argv for the command argv[1]. `accepted` lists the options it
+  /// takes besides --threads and --metrics, space-separated, each suffixed
+  /// by its kind: '#' a count, '%' a real number, '=' free text, none a flag.
+  /// Anything else, or a value of the wrong kind, is a usage error.
+  static Args parse(int argc, char** argv, const std::string& accepted) {
+    std::map<std::string, char> kinds{{"threads", '#'}, {"metrics", '='}};
+    std::istringstream names(accepted);
+    for (std::string name; names >> name;) {
+      const bool valued = name.back() == '#' || name.back() == '%' || name.back() == '=';
+      kinds[valued ? name.substr(0, name.size() - 1) : name] = valued ? name.back() : ' ';
+    }
     Args args;
     for (int i = 1; i < argc; ++i) {
-      std::string a = argv[i];
-      if (a.rfind("--", 0) == 0) {
-        const std::string key = a.substr(2);
-        if (key == "prune" || key == "json" || key == "resume" || key == "class-sweep" ||
-            key == "no-dedup") {
-          args.flags[key] = true;
-        } else if (i + 1 < argc) {
-          args.options[key] = argv[++i];
-        } else {
-          throw std::invalid_argument("option --" + key + " needs a value");
-        }
-      } else {
+      const std::string a = argv[i];
+      if (a.rfind("--", 0) != 0) {
         args.positional.push_back(a);
+        continue;
       }
+      const std::string key = a.substr(2);
+      const auto kind = kinds.find(key);
+      if (kind == kinds.end())
+        throw std::invalid_argument(std::string(argv[1]) + ": unknown option --" + key);
+      if (kind->second == ' ') {
+        args.flags.insert(key);
+        continue;
+      }
+      if (i + 1 >= argc) throw std::invalid_argument("option --" + key + " needs a value");
+      const std::string value = argv[++i];
+      char* end = nullptr;
+      if (kind->second == '#') std::strtoull(value.c_str(), &end, 0);
+      if (kind->second == '%') std::strtod(value.c_str(), &end);
+      if (end != nullptr && (end == value.c_str() || *end != '\0' || value[0] == '-'))
+        throw std::invalid_argument("option --" + key + " needs a number, got '" + value + "'");
+      args.options[key] = value;
     }
     return args;
   }
@@ -193,6 +212,7 @@ struct Args {
     if (i >= positional.size()) throw std::invalid_argument("missing " + what + " argument");
     return positional[i];
   }
+  bool has(const std::string& key) const { return options.count(key) != 0; }
   std::string get(const std::string& key, const std::string& def) const {
     const auto it = options.find(key);
     return it == options.end() ? def : it->second;
@@ -203,24 +223,36 @@ struct Args {
   }
   double getD(const std::string& key, double def) const {
     const auto it = options.find(key);
-    if (it == options.end()) return def;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-      throw std::invalid_argument("option --" + key + " needs a number, got '" + it->second +
-                                  "'");
-    return v;
+    return it == options.end() ? def : std::strtod(it->second.c_str(), nullptr);
   }
-  bool getFlag(const std::string& key) const {
-    const auto it = flags.find(key);
-    return it != flags.end() && it->second;
-  }
+  bool getFlag(const std::string& key) const { return flags.count(key) != 0; }
 };
+
+/// Stderr line for exit 5: the diagnosis stayed inconsistent after recovery
+/// (a widened superset was printed).
+int inconsistent(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  return kExitInconsistent;
+}
+
+/// Exit 8 when some defect scenario resolved only to a superset.
+int defectExit(const DrReport& rep) {
+  if (rep.unresolved == 0) return kExitOk;
+  std::fprintf(stderr,
+               "%zu of %zu scenario(s) resolved only to a guaranteed superset under the "
+               "defect budget (candidates are sound; confidence is calibrated)\n",
+               rep.unresolved, rep.faults);
+  return kExitDefectSuperset;
+}
 
 Netlist loadCircuit(const std::string& spec) {
   if (spec.find('/') != std::string::npos || spec.find('.') != std::string::npos)
     return parseBenchFile(spec);
   return generateNamedCircuit(spec);
+}
+
+ScanTopology topologyFor(std::size_t cells, std::size_t chains) {
+  return chains <= 1 ? ScanTopology::singleChain(cells) : ScanTopology::blockChains(cells, chains);
 }
 
 DiagnosisConfig configFrom(const Args& args) {
@@ -235,9 +267,8 @@ DiagnosisConfig configFrom(const Args& args) {
 
 /// Noise model requested on the command line; nullopt when no noise flag given.
 std::optional<NoiseConfig> noiseFrom(const Args& args) {
-  const bool any = args.options.count("noise") || args.options.count("intermittent") ||
-                   args.options.count("xmask") || args.options.count("alias");
-  if (!any) return std::nullopt;
+  if (!args.has("noise") && !args.has("intermittent") && !args.has("xmask") && !args.has("alias"))
+    return std::nullopt;
   NoiseConfig noise;
   noise.flipRate = args.getD("noise", 0.0);
   noise.intermittentRate = args.getD("intermittent", 0.0);
@@ -247,11 +278,20 @@ std::optional<NoiseConfig> noiseFrom(const Args& args) {
   return noise;
 }
 
-RetryPolicy retryFrom(const Args& args) {
-  RetryPolicy retry;
-  retry.sessionBudget = args.getN("retry-budget", 0);
-  retry.maxRetriesPerSession = args.getN("max-retries", 2);
-  return retry;
+/// --retry-budget / --max-retries over `base` (the mode's own defaults).
+RetryPolicy retryFrom(const Args& args, RetryPolicy base = {}) {
+  base.sessionBudget = args.getN("retry-budget", base.sessionBudget);
+  base.maxRetriesPerSession = args.getN("max-retries", base.maxRetriesPerSession);
+  return base;
+}
+
+/// Journal setup digest: `tag`, the named circuit or SOC, then `pieces`, so
+/// a journal can only be resumed against the setup that produced it.
+std::uint64_t setupDigest(const std::string& tag, const char* what, const std::string& name,
+                          std::initializer_list<std::pair<const char*, std::uint64_t>> pieces) {
+  std::uint64_t digest = setupDigestPiece(what, name, fnv1a64(tag));
+  for (const auto& [key, value] : pieces) digest = setupDigestPiece(key, value, digest);
+  return digest;
 }
 
 /// Watchdog + checkpoint state for the long-running commands (dr, soc-dr).
@@ -311,267 +351,217 @@ int cmdEmit(const Args& args) {
   return kExitOk;
 }
 
-int diagnoseNoisy(const Netlist& nl, const Args& args, const FaultSite& fault,
-                  const std::string& faultSpec, const NoiseConfig& noise) {
+/// diagnose's printer: cell names on a clean tester, cell ordinals plus the
+/// ladder's outcome under noise.
+void printDiagnosis(const Args& args, const Netlist& nl, const std::string& faultSpec,
+                    const FaultResponse& response, const FaultDiagnosis& d, bool noisy) {
+  const std::vector<std::size_t> candidates = d.candidates.cells.toIndices();
+  const std::vector<std::size_t> actual = response.failingCells.toIndices();
+  const auto cellName = [&](std::size_t c) -> const std::string& {
+    return nl.gateName(nl.dffs()[c]);
+  };
+  const bool exact = candidates == actual;
+  if (args.getFlag("json")) {
+    JsonWriter json(std::cout);
+    json.beginObject().field("circuit", nl.name()).field("fault", faultSpec).field("detected", true);
+    if (noisy) {
+      json.field("candidateCount", d.candidateCount)
+          .field("actualCount", d.actualCount)
+          .field("misdiagnosed", d.misdiagnosed)
+          .field("confidence", d.confidence)
+          .field("resolved", d.resolved)
+          .field("inconsistencies", d.inconsistencies)
+          .field("retrySessions", d.extraSessions)
+          .field("injectedEvents", d.injectedEvents);
+    } else {
+      json.field("exact", exact);
+      json.key("actualFailingCells").beginArray();
+      for (std::size_t c : actual) json.value(cellName(c));
+      json.endArray();
+    }
+    json.key("candidateCells").beginArray();
+    for (std::size_t c : candidates) noisy ? json.value(c) : json.value(cellName(c));
+    json.endArray().endObject();
+    std::printf("\n");
+    return;
+  }
+  if (noisy) {
+    std::printf("fault %s under noise: %zu failing cells, %zu candidates "
+                "(confidence %.3f, %zu injected events, %zu inconsistencies, "
+                "%zu retry sessions)\n",
+                faultSpec.c_str(), d.actualCount, d.candidateCount, d.confidence,
+                d.injectedEvents, d.inconsistencies, d.extraSessions);
+  } else {
+    std::printf("fault %s: %zu failing cells, %zu candidates (%s)\n", faultSpec.c_str(),
+                actual.size(), candidates.size(), exact ? "exact" : "superset");
+  }
+  std::printf("candidates:");
+  for (std::size_t c : candidates)
+    std::printf(" %s", noisy ? std::to_string(c).c_str() : cellName(c).c_str());
+  std::printf("\n");
+  if (!noisy) {
+    std::printf("cost: %zu sessions, %llu clock cycles\n", d.cost.sessions,
+                static_cast<unsigned long long>(d.cost.clockCycles));
+  }
+}
+
+int cmdDiagnose(const Args& args) {
+  const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
+  const std::string gate = args.get("fault", "");
+  if (gate.empty()) throw std::invalid_argument("diagnose needs --fault <gate-name>");
+  const GateId site = nl.findByName(gate);
+  if (site == kInvalidGate) throw std::invalid_argument("no gate named '" + gate + "'");
+  const bool sa = args.getN("sa", 1) != 0;
+  const std::string faultSpec = gate + "/SA" + (sa ? "1" : "0");
+
   const DiagnosisConfig config = configFrom(args);
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(nl.dffs().size())
-                                            : ScanTopology::blockChains(nl.dffs().size(), chains);
+  const ScanTopology topology = topologyFor(nl.dffs().size(), args.getN("chains", 1));
   const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
-  const FaultSimulator sim(nl, patterns);
-  const FaultResponse response = sim.simulate(fault);
+  const FaultResponse response =
+      FaultSimulator(nl, patterns).simulate(FaultSite{site, FaultSite::kOutputPin, sa});
   if (!response.detected()) {
     std::printf("fault %s not detected by %zu patterns\n", faultSpec.c_str(),
                 config.numPatterns);
     return kExitOk;
   }
-  const NoisyPipeline noisy(topology, config, noise, retryFrom(args));
-  const ResilientDiagnosis d = noisy.diagnose(response, /*faultKey=*/0);
-
-  if (args.getFlag("json")) {
-    JsonWriter json(std::cout);
-    json.beginObject()
-        .field("circuit", nl.name())
-        .field("fault", faultSpec)
-        .field("detected", true)
-        .field("candidateCount", d.candidateCount)
-        .field("actualCount", d.actualCount)
-        .field("misdiagnosed", d.misdiagnosed)
-        .field("confidence", d.confidence)
-        .field("resolved", d.resolved)
-        .field("inconsistencies", d.inconsistencies)
-        .field("retrySessions", d.retrySessions)
-        .field("injectedEvents", d.injected.count());
-    json.key("candidateCells").beginArray();
-    for (std::size_t c : d.candidates.cells.toIndices()) json.value(c);
-    json.endArray().endObject();
-    std::printf("\n");
-  } else {
-    std::printf("fault %s under noise: %zu failing cells, %zu candidates "
-                "(confidence %.3f, %zu injected events, %zu inconsistencies, "
-                "%zu retry sessions)\n",
-                faultSpec.c_str(), d.actualCount, d.candidateCount, d.confidence,
-                d.injected.count(), d.inconsistencies, d.retrySessions);
-    std::printf("candidates:");
-    for (std::size_t c : d.candidates.cells.toIndices()) std::printf(" %zu", c);
-    std::printf("\n");
-  }
+  const std::optional<NoiseConfig> noise = noiseFrom(args);
+  const DiagnosisPipeline pipeline(topology, config, noise.value_or(NoiseConfig{}),
+                                   retryFrom(args));
+  const FaultDiagnosis d = pipeline.diagnose(response);
+  printDiagnosis(args, nl, faultSpec, response, d, noise.has_value());
   if (!d.resolved)
-    throw InconsistentDiagnosisError(
-        "diagnosis of " + faultSpec + " is still inconsistent after the retry budget (" +
-        std::to_string(d.retrySessions) + " retry sessions spent); candidates were widened");
+    return inconsistent("diagnosis of " + faultSpec +
+                        " is still inconsistent after the retry budget (" +
+                        std::to_string(d.extraSessions) +
+                        " retry sessions spent); candidates were widened");
   return kExitOk;
 }
 
-int cmdDiagnose(const Args& args) {
-  Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
-  const std::string faultSpec = args.get("fault", "");
-  if (faultSpec.empty()) throw std::invalid_argument("diagnose needs --fault <gate-name>");
-  const GateId site = nl.findByName(faultSpec);
-  if (site == kInvalidGate) throw std::invalid_argument("no gate named '" + faultSpec + "'");
-  const bool sa = args.getN("sa", 1) != 0;
-  const FaultSite fault{site, FaultSite::kOutputPin, sa};
-
-  if (const std::optional<NoiseConfig> noise = noiseFrom(args))
-    return diagnoseNoisy(nl, args, fault, faultSpec + "/SA" + (sa ? "1" : "0"), *noise);
-
-  DiagnoserOptions opts;
-  opts.diagnosis = configFrom(args);
-  opts.numChains = args.getN("chains", 1);
-  const Diagnoser diag(std::move(nl), opts);
-  const Diagnoser::Result r = diag.diagnoseInjectedFault(fault);
-  if (!r.detected) {
-    std::printf("fault %s/SA%d not detected by %zu patterns\n", faultSpec.c_str(), sa ? 1 : 0,
-                opts.diagnosis.numPatterns);
-    return kExitOk;
-  }
+/// dr's printer. `defects` is the mix of a --defects run; `noise` the noise
+/// model of a noisy run; neither = the paper's clean DR.
+void printDr(const Args& args, const std::string& circuit, const DiagnosisConfig& config,
+             const DrReport& rep, const std::optional<DefectMix>& defects,
+             const std::optional<NoiseConfig>& noise) {
+  const std::string scheme = schemeName(config.scheme);
   if (args.getFlag("json")) {
     JsonWriter json(std::cout);
-    json.beginObject()
-        .field("circuit", diag.netlist().name())
-        .field("fault", faultSpec + "/SA" + (sa ? "1" : "0"))
-        .field("detected", true)
-        .field("exact", r.exact());
-    json.key("actualFailingCells").beginArray();
-    for (std::size_t c : r.actualFailingCells) json.value(diag.cellName(c));
-    json.endArray();
-    json.key("candidateCells").beginArray();
-    for (std::size_t c : r.candidateCells) json.value(diag.cellName(c));
-    json.endArray();
+    json.beginObject().field("circuit", circuit).field("scheme", scheme);
+    if (defects) {
+      json.field("defects", describeDefectMix(*defects))
+          .field("scenarios", rep.faults)
+          .field("dr", rep.dr)
+          .field("sumCandidates", rep.sumCandidates)
+          .field("sumActual", rep.sumActual)
+          .field("misdiagnosisRate", rep.misdiagnosisRate())
+          .field("meanConfidence", rep.meanConfidence)
+          .field("degraded", rep.unresolved)
+          .field("inconsistencies", rep.inconsistencies)
+          .field("unionSplits", rep.unionSplits)
+          .field("atpgPatterns", rep.atpgPatterns)
+          .field("extraSessions", rep.extraSessions);
+    } else if (noise) {
+      json.field("partitions", config.numPartitions)
+          .field("groups", config.groupsPerPartition)
+          .field("noiseFlipRate", noise->flipRate)
+          .field("retryBudget", retryFrom(args).sessionBudget)
+          .field("faults", rep.faults)
+          .field("dr", rep.dr)
+          .field("misdiagnosisRate", rep.misdiagnosisRate())
+          .field("emptyRate", rep.emptyRate())
+          .field("meanConfidence", rep.meanConfidence)
+          .field("inconsistencies", rep.inconsistencies)
+          .field("retrySessions", rep.extraSessions)
+          .field("unresolved", rep.unresolved);
+    } else {
+      json.field("partitions", config.numPartitions)
+          .field("groups", config.groupsPerPartition)
+          .field("pruning", config.pruning)
+          .field("faults", rep.faults)
+          .field("sumCandidates", rep.sumCandidates)
+          .field("sumActual", rep.sumActual)
+          .field("dr", rep.dr);
+    }
     json.endObject();
     std::printf("\n");
-    return kExitOk;
-  }
-  std::printf("fault %s/SA%d: %zu failing cells, %zu candidates (%s)\n", faultSpec.c_str(),
-              sa ? 1 : 0, r.actualFailingCells.size(), r.candidateCells.size(),
-              r.exact() ? "exact" : "superset");
-  std::printf("candidates:");
-  for (std::size_t c : r.candidateCells) std::printf(" %s", diag.cellName(c).c_str());
-  std::printf("\n");
-  const DiagnosisCost cost = partitionRunCost(opts.diagnosis.numPartitions,
-                                              opts.diagnosis.groupsPerPartition,
-                                              opts.diagnosis.numPatterns,
-                                              diag.topology().maxChainLength());
-  std::printf("cost: %zu sessions, %llu clock cycles\n", cost.sessions,
-              static_cast<unsigned long long>(cost.clockCycles));
-  return kExitOk;
-}
-
-int drNoisy(const Netlist& nl, const Args& args, const NoiseConfig& noise) {
-  const DiagnosisConfig config = configFrom(args);
-  WorkloadConfig wc;
-  wc.numPatterns = config.numPatterns;
-  wc.numFaults = args.getN("faults", 500);
-  wc.faultSeed = args.getN("seed", 0xFA17);
-  const CircuitWorkload work = prepareWorkload(nl, wc, args.getN("chains", 1));
-  const NoisyPipeline noisy(work.topology, config, noise, retryFrom(args));
-  const NoisyDrReport rep = noisy.evaluate(work.responses);
-
-  if (args.getFlag("json")) {
-    JsonWriter json(std::cout);
-    json.beginObject()
-        .field("circuit", nl.name())
-        .field("scheme", schemeName(config.scheme))
-        .field("partitions", config.numPartitions)
-        .field("groups", config.groupsPerPartition)
-        .field("noiseFlipRate", noise.flipRate)
-        .field("retryBudget", retryFrom(args).sessionBudget)
-        .field("faults", rep.faults)
-        .field("dr", rep.dr)
-        .field("misdiagnosisRate", rep.misdiagnosisRate)
-        .field("emptyRate", rep.emptyRate)
-        .field("meanConfidence", rep.meanConfidence)
-        .field("inconsistencies", rep.totalInconsistencies)
-        .field("retrySessions", rep.totalRetrySessions)
-        .field("unresolved", rep.unresolved)
-        .endObject();
-    std::printf("\n");
-    return kExitOk;
-  }
-  std::printf("%s %s under noise: DR = %.4f over %zu faults "
-              "(misdiagnosis %.4f, empty %.4f, confidence %.3f, "
-              "%zu inconsistencies, %zu retry sessions, %zu unresolved)\n",
-              nl.name().c_str(), schemeName(config.scheme).c_str(), rep.dr, rep.faults,
-              rep.misdiagnosisRate, rep.emptyRate, rep.meanConfidence,
-              rep.totalInconsistencies, rep.totalRetrySessions, rep.unresolved);
-  return kExitOk;
-}
-
-/// `scandiag dr --defects`: k-fault union scenarios through the defect-zoo
-/// pipeline. No checkpoint support (scenarios are cheap to regenerate and the
-/// journal schema is per-single-fault); degraded scenarios map to exit 8.
-int drDefects(const Netlist& nl, const Args& args) {
-  const DefectMix mix = parseDefectSpec(args.get("defects", ""));
-  if (!args.get("checkpoint", "").empty() || args.getFlag("resume"))
-    throw std::invalid_argument("--defects does not support --checkpoint/--resume");
-  const DiagnosisConfig config = configFrom(args);
-  if (config.scheme == SchemeKind::Adaptive)
-    throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(nl.dffs().size())
-                                            : ScanTopology::blockChains(nl.dffs().size(), chains);
-  const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
-  const FaultSimulator sim(nl, patterns);
-  const DefectScenarioGenerator generator(sim, mix);
-
-  const std::size_t count = args.getN("faults", 100);
-  std::vector<DefectScenario> scenarios;
-  scenarios.reserve(count);
-  // Serial: generation fault-simulates on the shared simulator (diagnosis
-  // below is the parallel part).
-  for (std::size_t i = 0; i < count; ++i) scenarios.push_back(generator.generate(i));
-
-  DefectPolicy policy;
-  policy.retry.sessionBudget = args.getN("retry-budget", policy.retry.sessionBudget);
-  policy.retry.maxRetriesPerSession = args.getN("max-retries", policy.retry.maxRetriesPerSession);
-  policy.refineSessionBudget = args.getN("refine-budget", policy.refineSessionBudget);
-  policy.atpgSessionBudget = args.getN("atpg-budget", policy.atpgSessionBudget);
-  policy.intermittentSamples = args.getN("samples", policy.intermittentSamples);
-  const DefectZooPipeline zoo(sim, topology, config, policy);
-  const DefectZooReport rep = zoo.evaluate(scenarios);
-
-  if (args.getFlag("json")) {
-    JsonWriter json(std::cout);
-    json.beginObject()
-        .field("circuit", nl.name())
-        .field("scheme", schemeName(config.scheme))
-        .field("defects", describeDefectMix(mix))
-        .field("scenarios", rep.scenarios)
-        .field("dr", rep.dr)
-        .field("sumCandidates", rep.sumCandidates)
-        .field("sumActual", rep.sumActual)
-        .field("misdiagnosisRate", rep.misdiagnosisRate)
-        .field("meanConfidence", rep.meanConfidence)
-        .field("degraded", rep.degraded)
-        .field("inconsistencies", rep.totalInconsistencies)
-        .field("unionSplits", rep.totalUnionSplits)
-        .field("atpgPatterns", rep.totalAtpgPatterns)
-        .field("extraSessions", rep.totalExtraSessions)
-        .endObject();
-    std::printf("\n");
-  } else {
+  } else if (defects) {
     std::printf("%s %s defects %s: DR = %.4f over %zu scenarios "
                 "(misdiagnosis %.4f, confidence %.3f, %zu degraded, "
                 "%zu union splits, %zu ATPG patterns, %zu extra sessions)\n",
-                nl.name().c_str(), schemeName(config.scheme).c_str(),
-                describeDefectMix(mix).c_str(), rep.dr, rep.scenarios, rep.misdiagnosisRate,
-                rep.meanConfidence, rep.degraded, rep.totalUnionSplits, rep.totalAtpgPatterns,
-                rep.totalExtraSessions);
+                circuit.c_str(), scheme.c_str(), describeDefectMix(*defects).c_str(), rep.dr,
+                rep.faults,
+                rep.misdiagnosisRate(), rep.meanConfidence, rep.unresolved, rep.unionSplits,
+                rep.atpgPatterns, rep.extraSessions);
+  } else if (noise) {
+    std::printf("%s %s under noise: DR = %.4f over %zu faults "
+                "(misdiagnosis %.4f, empty %.4f, confidence %.3f, "
+                "%zu inconsistencies, %zu retry sessions, %zu unresolved)\n",
+                circuit.c_str(), scheme.c_str(), rep.dr, rep.faults, rep.misdiagnosisRate(),
+                rep.emptyRate(), rep.meanConfidence, rep.inconsistencies, rep.extraSessions,
+                rep.unresolved);
+  } else {
+    std::printf("%s %s: DR = %.4f over %zu detected faults "
+                "(candidates %llu, actual %llu)\n",
+                circuit.c_str(), scheme.c_str(), rep.dr, rep.faults,
+                static_cast<unsigned long long>(rep.sumCandidates),
+                static_cast<unsigned long long>(rep.sumActual));
   }
-  if (rep.degraded > 0) {
-    std::fprintf(stderr,
-                 "%zu of %zu scenario(s) resolved only to a guaranteed superset under the "
-                 "defect budget (candidates are sound; confidence is calibrated)\n",
-                 rep.degraded, rep.scenarios);
-    return kExitDefectSuperset;
-  }
-  return kExitOk;
 }
 
+/// `scandiag dr`: single stuck-at faults on a clean or noisy tester, or
+/// --defects k-fault union scenarios; every mode runs the same ladder under
+/// the same watchdog. Degraded defect scenarios map to exit 8.
 int cmdDr(const Args& args) {
-  Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
-  if (args.options.count("defects")) return drDefects(nl, args);
-  if (const std::optional<NoiseConfig> noise = noiseFrom(args)) return drNoisy(nl, args, *noise);
+  const Netlist nl = loadCircuit(args.positionalAt(1, "circuit"));
+  const DiagnosisConfig config = configFrom(args);
+  const std::size_t chains = args.getN("chains", 1);
+  const std::optional<DefectMix> defects =
+      args.has("defects") ? std::optional(parseDefectSpec(args.get("defects", ""))) : std::nullopt;
+  const std::optional<NoiseConfig> noise = defects ? std::nullopt : noiseFrom(args);
+  // A journal keeps only the DR numbers of each fault.
+  if ((defects || noise) && (args.has("checkpoint") || args.getFlag("resume")))
+    throw std::invalid_argument(std::string(defects ? "--defects" : "--noise") +
+                                " does not support --checkpoint/--resume");
+  const std::size_t faults = args.getN("faults", defects ? 100 : 500);
 
-  DiagnoserOptions opts;
-  opts.diagnosis = configFrom(args);
-  opts.numChains = args.getN("chains", 1);
-  const Diagnoser diag(std::move(nl), opts);
-  std::uint64_t digest = fnv1a64(std::string("scandiag dr"));
-  digest = setupDigestPiece("circuit", diag.netlist().name(), digest);
-  digest = setupDigestPiece("cells", diag.netlist().dffs().size(), digest);
-  digest = setupDigestPiece("chains", opts.numChains, digest);
-  digest = setupDigestPiece("patterns", opts.diagnosis.numPatterns, digest);
-  digest = setupDigestPiece("faults", args.getN("faults", 500), digest);
-  digest = setupDigestPiece("seed", args.getN("seed", 0xFA17), digest);
-  digest = setupDigestPiece("schema", obs::kMetricsSchemaVersion, digest);
-  CliRunState run =
-      cliRunFrom(args, digest, "scandiag dr " + diag.netlist().name());
-  const DrReport rep =
-      diag.evaluateResolution(args.getN("faults", 500), args.getN("seed", 0xFA17),
-                              run.control(), run.checkpoint.get());
-  if (args.getFlag("json")) {
-    JsonWriter json(std::cout);
-    json.beginObject()
-        .field("circuit", diag.netlist().name())
-        .field("scheme", schemeName(opts.diagnosis.scheme))
-        .field("partitions", opts.diagnosis.numPartitions)
-        .field("groups", opts.diagnosis.groupsPerPartition)
-        .field("pruning", opts.diagnosis.pruning)
-        .field("faults", rep.faults)
-        .field("sumCandidates", rep.sumCandidates)
-        .field("sumActual", rep.sumActual)
-        .field("dr", rep.dr)
-        .endObject();
-    std::printf("\n");
-    return kExitOk;
+  const std::uint64_t digest =
+      setupDigest("scandiag dr", "circuit", nl.name(),
+                  {{"cells", nl.dffs().size()}, {"chains", chains},
+                   {"patterns", config.numPatterns}, {"faults", faults},
+                   {"seed", args.getN("seed", 0xFA17)}, {"schema", obs::kMetricsSchemaVersion}});
+  const CliRunState run = cliRunFrom(args, digest, "scandiag dr " + nl.name());
+
+  DrReport rep;
+  if (defects) {
+    if (config.scheme == SchemeKind::Adaptive)
+      throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
+    const ScanTopology topology = topologyFor(nl.dffs().size(), chains);
+    const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
+    const FaultSimulator sim(nl, patterns);
+    const DefectScenarioGenerator generator(sim, *defects);
+    std::vector<DefectScenario> scenarios;
+    scenarios.reserve(faults);
+    // Serial: generation fault-simulates on the shared simulator (diagnosis
+    // below is the parallel part).
+    for (std::size_t i = 0; i < faults; ++i) scenarios.push_back(generator.generate(i));
+    DefectPolicy policy;
+    policy.retry = retryFrom(args, policy.retry);
+    policy.refineSessionBudget = args.getN("refine-budget", policy.refineSessionBudget);
+    policy.atpgSessionBudget = args.getN("atpg-budget", policy.atpgSessionBudget);
+    policy.intermittentSamples = args.getN("samples", policy.intermittentSamples);
+    rep = DefectZooPipeline(sim, topology, config, policy).evaluate(scenarios, run.control());
+  } else {
+    WorkloadConfig wc;
+    wc.numPatterns = config.numPatterns;
+    wc.numFaults = faults;
+    wc.faultSeed = args.getN("seed", 0xFA17);
+    const CircuitWorkload work = prepareWorkload(nl, wc, chains);
+    const DiagnosisPipeline pipeline(work.topology, config, noise.value_or(NoiseConfig{}),
+                                     retryFrom(args));
+    rep = pipeline.evaluate(work.responses, run.control(),
+                            SweepJournal{run.checkpoint.get(), sweepIdFor(config)});
   }
-  std::printf("%s %s: DR = %.4f over %zu detected faults "
-              "(candidates %llu, actual %llu)\n",
-              diag.netlist().name().c_str(), schemeName(opts.diagnosis.scheme).c_str(), rep.dr,
-              rep.faults, static_cast<unsigned long long>(rep.sumCandidates),
-              static_cast<unsigned long long>(rep.sumActual));
-  return kExitOk;
+  printDr(args, nl.name(), config, rep, defects, noise);
+  return defects ? defectExit(rep) : kExitOk;
 }
 
 /// The class-sweep leg of soc-dr: structural dedup, optional --shard i/N,
@@ -592,16 +582,12 @@ int socClassSweepCmd(const Args& args, const std::string& spec, const Soc& soc,
         "--report needs the full sweep; run unsharded, or merge the shard journals with "
         "merge-journals");
 
-  std::uint64_t base = fnv1a64(std::string("scandiag soc-class-sweep"));
-  base = setupDigestPiece("soc", spec, base);
-  base = setupDigestPiece("cores", soc.coreCount(), base);
-  base = setupDigestPiece("cells", soc.totalCells(), base);
-  base = setupDigestPiece("patterns", workload.numPatterns, base);
-  base = setupDigestPiece("faults", workload.numFaults, base);
-  base = setupDigestPiece("fault_seed", workload.faultSeed, base);
-  base = setupDigestPiece("config", sweepIdFor(config), base);
-  base = setupDigestPiece("dedup", options.dedupClasses ? 1 : 0, base);
-  base = setupDigestPiece("schema", obs::kMetricsSchemaVersion, base);
+  const std::uint64_t base = setupDigest(
+      "scandiag soc-class-sweep", "soc", spec,
+      {{"cores", soc.coreCount()}, {"cells", soc.totalCells()},
+       {"patterns", workload.numPatterns}, {"faults", workload.numFaults},
+       {"fault_seed", workload.faultSeed}, {"config", sweepIdFor(config)},
+       {"dedup", options.dedupClasses ? 1 : 0}, {"schema", obs::kMetricsSchemaVersion}});
   options.baseDigest = base;
   std::uint64_t digest = setupDigestPiece("shard_index", options.shard.index, base);
   digest = setupDigestPiece("shard_count", options.shard.count, digest);
@@ -635,107 +621,12 @@ int socClassSweepCmd(const Args& args, const std::string& spec, const Soc& soc,
   return kExitOk;
 }
 
-/// `scandiag soc-dr --defects k`: k simultaneous failing cores (the paper's
-/// multiple-spot-defect view). Responses are unions of per-core responses on
-/// the meta topology; diagnosis runs detection + recovery (the union
-/// short-circuit included), and any unresolved scenario maps to exit 8.
-/// Bridge/open/intermittent components are core-local models — rejected here;
-/// use `scandiag dr --defects` on a single circuit for those.
-int socDrDefects(const Args& args, const Soc& soc, const WorkloadConfig& workload,
-                 const DiagnosisConfig& config) {
-  const DefectMix mix = parseDefectSpec(args.get("defects", ""));
-  if (mix.bridges || mix.opens || mix.intermittentP > 0.0)
-    throw std::invalid_argument(
-        "soc-dr --defects models k simultaneous failing cores (stuck-at only); "
-        "bridge/open/intermittent are core-local — use `scandiag dr --defects`");
-  if (mix.k > soc.coreCount())
-    throw std::invalid_argument("soc-dr --defects: k=" + std::to_string(mix.k) + " exceeds " +
-                                std::to_string(soc.coreCount()) + " cores");
-  if (config.scheme == SchemeKind::Adaptive)
-    throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
-
-  std::vector<std::size_t> failingCores(mix.k);
-  for (std::size_t i = 0; i < mix.k; ++i) failingCores[i] = i;
-  const std::vector<FaultResponse> responses =
-      socResponsesForFailingCores(soc, failingCores, workload);
-
-  const ScanTopology& topology = soc.topology();
-  const DiagnosisPipeline pipeline(topology, config);
-  RetryPolicy retry;
-  retry.sessionBudget = args.getN("retry-budget", 256);
-  retry.maxRetriesPerSession = args.getN("max-retries", 2);
-  const DiagnosisRecovery recovery(topology, retry);
-  const PreparedPartitionSet& prepared = pipeline.prepared();
-
-  struct Slot {
-    std::size_t candidates = 0;
-    std::size_t actual = 0;
-    bool misdiagnosed = false;
-    bool resolved = true;
-    double confidence = 1.0;
-    std::size_t unionClusters = 0;
-  };
-  std::vector<Slot> slots(responses.size());
-  globalPool().parallelFor(responses.size(), [&](std::size_t i) {
-    obs::count(obs::Counter::DefectScenariosRun);
-    const FaultResponse& response = responses[i];
-    const GroupVerdicts verdicts = pipeline.engine().run(prepared, response);
-    const PartitionRerun rerun = [&](std::size_t p, std::size_t) {
-      return pipeline.engine().runPartition(prepared, p, response);
-    };
-    const RecoveredDiagnosis recovered = recovery.recover(prepared, verdicts, rerun);
-    slots[i].candidates = recovered.candidates.cellCount();
-    slots[i].actual = response.failingCellCount();
-    slots[i].misdiagnosed = !response.failingCells.isSubsetOf(recovered.candidates.cells);
-    slots[i].resolved = recovered.resolved;
-    slots[i].confidence = recovered.confidence;
-    slots[i].unionClusters = recovered.unionClusters;
-  });
-
-  DrAccumulator acc;
-  std::size_t unresolved = 0;
-  std::size_t misdiagnosed = 0;
-  double confidenceSum = 0.0;
-  for (const Slot& s : slots) {
-    acc.add(s.candidates, s.actual);
-    if (!s.resolved) ++unresolved;
-    if (s.misdiagnosed) ++misdiagnosed;
-    confidenceSum += s.confidence;
-  }
-  const double dr = acc.sumActual() > 0 ? acc.dr() : 0.0;
-  const double meanConfidence =
-      slots.empty() ? 1.0 : confidenceSum / static_cast<double>(slots.size());
-
-  if (args.getFlag("json")) {
-    JsonWriter json(std::cout);
-    json.beginObject()
-        .field("soc", soc.name())
-        .field("scheme", schemeName(config.scheme))
-        .field("failingCores", mix.k)
-        .field("scenarios", slots.size())
-        .field("dr", dr)
-        .field("sumCandidates", acc.sumCandidates())
-        .field("sumActual", acc.sumActual())
-        .field("misdiagnosed", misdiagnosed)
-        .field("meanConfidence", meanConfidence)
-        .field("unresolved", unresolved)
-        .endObject();
-    std::printf("\n");
-  } else {
-    std::printf("%s with %zu failing cores: DR = %.4f over %zu union scenarios "
-                "(misdiagnosed %zu, confidence %.3f, %zu unresolved)\n",
-                soc.name().c_str(), mix.k, dr, slots.size(), misdiagnosed, meanConfidence,
-                unresolved);
-  }
-  if (unresolved > 0) {
-    std::fprintf(stderr,
-                 "%zu of %zu union scenario(s) resolved only to a guaranteed superset\n",
-                 unresolved, slots.size());
-    return kExitDefectSuperset;
-  }
-  return kExitOk;
-}
-
+/// `scandiag soc-dr`. With --defects: k simultaneous failing cores (the
+/// paper's multiple-spot-defect view) — union responses on the meta topology
+/// through the ladder with the clean source and recovery on (the union
+/// short-circuit included); any unresolved scenario maps to exit 8.
+/// Bridge/open/intermittent components are core-local models — rejected
+/// here; use `scandiag dr --defects` on a single circuit for those.
 int cmdSocDr(const Args& args) {
   const std::string which = args.positionalAt(1, "soc spec");
   const Soc soc = buildSocFromSpec(which);
@@ -752,23 +643,63 @@ int cmdSocDr(const Args& args) {
   config.numPartitions = args.getN("partitions", config.numPartitions);
   config.groupsPerPartition = args.getN("groups", config.groupsPerPartition);
 
-  if (args.options.count("defects")) return socDrDefects(args, soc, workload, config);
+  if (args.has("defects")) {
+    const DefectMix mix = parseDefectSpec(args.get("defects", ""));
+    if (args.has("checkpoint") || args.getFlag("resume"))
+      throw std::invalid_argument("--defects does not support --checkpoint/--resume");
+    if (mix.bridges || mix.opens || mix.intermittentP > 0.0)
+      throw std::invalid_argument(
+          "soc-dr --defects models k simultaneous failing cores (stuck-at only); "
+          "bridge/open/intermittent are core-local — use `scandiag dr --defects`");
+    if (mix.k > soc.coreCount())
+      throw std::invalid_argument("soc-dr --defects: k=" + std::to_string(mix.k) +
+                                  " exceeds " + std::to_string(soc.coreCount()) + " cores");
+    if (config.scheme == SchemeKind::Adaptive)
+      throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
+    const CliRunState run = cliRunFrom(args, 0, "");
+    std::vector<std::size_t> failingCores(mix.k);
+    std::iota(failingCores.begin(), failingCores.end(), std::size_t{0});
+    const std::vector<FaultResponse> responses =
+        socResponsesForFailingCores(soc, failingCores, workload);
+    const DiagnosisPipeline pipeline(soc.topology(), config, NoiseConfig{},
+                                     retryFrom(args, RetryPolicy{2, 256}));
+    const DrReport rep = pipeline.evaluate(responses, run.control(), {}, /*unions=*/true);
+    if (args.getFlag("json")) {
+      JsonWriter json(std::cout);
+      json.beginObject()
+          .field("soc", soc.name())
+          .field("scheme", schemeName(config.scheme))
+          .field("failingCores", mix.k)
+          .field("scenarios", rep.faults)
+          .field("dr", rep.dr)
+          .field("sumCandidates", rep.sumCandidates)
+          .field("sumActual", rep.sumActual)
+          .field("misdiagnosed", rep.misdiagnosed)
+          .field("meanConfidence", rep.meanConfidence)
+          .field("unresolved", rep.unresolved)
+          .endObject();
+      std::printf("\n");
+    } else {
+      std::printf("%s with %zu failing cores: DR = %.4f over %zu union scenarios "
+                  "(misdiagnosed %zu, confidence %.3f, %zu unresolved)\n",
+                  soc.name().c_str(), mix.k, rep.dr, rep.faults, rep.misdiagnosed,
+                  rep.meanConfidence, rep.unresolved);
+    }
+    return defectExit(rep);
+  }
 
   // rep: SOCs only make sense class-deduped; for the presets the legacy
   // per-failing-core protocol (paper Tables 3-4) stays the default.
   const bool classSweep = !preset || args.getFlag("class-sweep") || args.getFlag("no-dedup") ||
-                          args.options.count("shard") || args.options.count("report");
+                          args.has("shard") || args.has("report");
   if (classSweep) return socClassSweepCmd(args, which, soc, workload, config);
 
-  std::uint64_t digest = fnv1a64(std::string("scandiag soc-dr"));
-  digest = setupDigestPiece("soc", which, digest);
-  digest = setupDigestPiece("cores", soc.coreCount(), digest);
-  digest = setupDigestPiece("cells", soc.totalCells(), digest);
-  digest = setupDigestPiece("patterns", workload.numPatterns, digest);
-  digest = setupDigestPiece("faults", workload.numFaults, digest);
-  digest = setupDigestPiece("fault_seed", workload.faultSeed, digest);
-  digest = setupDigestPiece("schema", obs::kMetricsSchemaVersion, digest);
-  CliRunState run = cliRunFrom(args, digest, "scandiag soc-dr " + which);
+  const std::uint64_t digest =
+      setupDigest("scandiag soc-dr", "soc", which,
+                  {{"cores", soc.coreCount()}, {"cells", soc.totalCells()},
+                   {"patterns", workload.numPatterns}, {"faults", workload.numFaults},
+                   {"fault_seed", workload.faultSeed}, {"schema", obs::kMetricsSchemaVersion}});
+  const CliRunState run = cliRunFrom(args, digest, "scandiag soc-dr " + which);
   std::printf("%s: %zu cores, %zu cells, %zu meta chains — %s%s\n", soc.name().c_str(),
               soc.coreCount(), soc.totalCells(), soc.topology().numChains(),
               schemeName(config.scheme).c_str(), config.pruning ? " + pruning" : "");
@@ -853,9 +784,7 @@ int cmdOffline(const Args& args) {
   if (logPath.empty()) throw std::invalid_argument("offline needs --log <file>");
   const std::size_t cells = args.getN("cells", 0);
   if (cells == 0) throw std::invalid_argument("offline needs --cells <scan cell count>");
-  const std::size_t chains = args.getN("chains", 1);
-  const ScanTopology topology = chains <= 1 ? ScanTopology::singleChain(cells)
-                                            : ScanTopology::blockChains(cells, chains);
+  const ScanTopology topology = topologyFor(cells, args.getN("chains", 1));
   const TesterLog log = parseTesterLogFile(logPath);
   DiagnosisConfig config = configFrom(args);
   config.numPartitions = args.getN("partitions", log.numPartitions);
@@ -897,10 +826,9 @@ int cmdOffline(const Args& args) {
     std::printf("\n");
   }
   if (!recovered.consistent())
-    throw InconsistentDiagnosisError(
-        "session log " + logPath + " is inconsistent (" +
-        std::to_string(recovered.inconsistencies.size()) +
-        " inconsistency report(s)); a widened candidate superset was printed");
+    return inconsistent("session log " + logPath + " is inconsistent (" +
+                        std::to_string(recovered.inconsistencies.size()) +
+                        " inconsistency report(s)); a widened candidate superset was printed");
   return kExitOk;
 }
 
@@ -991,28 +919,50 @@ int cmdServeLedger(const Args& args) {
   return ledger.balanced() ? kExitOk : kExitFailure;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: scandiag <info|emit|diagnose|dr|soc-dr|merge-journals|plan|offline|"
-               "partitions|serve|serve-ledger> ... (see header)\n");
-  return kExitUsage;
+/// One CLI command: its name, the options it takes (see Args::parse), and its
+/// handler.
+struct Command {
+  const char* name;
+  std::string options;
+  int (*run)(const Args&);
+};
+
+const std::vector<Command>& commands() {
+  const std::string config = "scheme= partitions# groups# patterns# prune ";
+  const std::string noise = "noise% intermittent% xmask% alias% noise-seed# retry-budget# "
+                            "max-retries# ";
+  const std::string run = "deadline-ms# checkpoint= resume ";
+  static const std::vector<Command> table = {
+      {"info", "", cmdInfo},
+      {"emit", "o=", cmdEmit},
+      {"diagnose", config + noise + "fault= sa# chains# json", cmdDiagnose},
+      {"dr",
+       config + noise + run +
+           "defects= refine-budget# atpg-budget# samples# chains# faults# seed# json",
+       cmdDr},
+      {"soc-dr",
+       config + run +
+           "faults# json defects= retry-budget# max-retries# class-sweep no-dedup shard= "
+           "report=",
+       cmdSocDr},
+      {"merge-journals", "out=", cmdMergeJournals},
+      {"plan", "scheme= partitions# patterns# faults# chains# target% json", cmdPlan},
+      {"offline", config + "log= cells# chains# json", cmdOffline},
+      {"partitions", config, cmdPartitions},
+      {"serve",
+       config + "socket= chains# sims# queue# handlers# request-deadline-ms# io-timeout-ms# "
+                "drain-ms# journal=",
+       cmdServe},
+      {"serve-ledger", "journal= json", cmdServeLedger},
+  };
+  return table;
 }
 
-int dispatch(const Args& args) {
-  const std::string& cmd = args.positional[0];
-  if (cmd == "info") return cmdInfo(args);
-  if (cmd == "emit") return cmdEmit(args);
-  if (cmd == "diagnose") return cmdDiagnose(args);
-  if (cmd == "dr") return cmdDr(args);
-  if (cmd == "soc-dr") return cmdSocDr(args);
-  if (cmd == "merge-journals") return cmdMergeJournals(args);
-  if (cmd == "plan") return cmdPlan(args);
-  if (cmd == "offline") return cmdOffline(args);
-  if (cmd == "partitions") return cmdPartitions(args);
-  if (cmd == "serve") return cmdServe(args);
-  if (cmd == "serve-ledger") return cmdServeLedger(args);
-  std::fprintf(stderr, "error: unknown command '%s'\n", cmd.c_str());
-  return usage();
+int usage() {
+  std::string names;
+  for (const Command& c : commands()) names += (names.empty() ? "" : "|") + std::string(c.name);
+  std::fprintf(stderr, "usage: scandiag <%s> ... (see header)\n", names.c_str());
+  return kExitUsage;
 }
 
 void writeMetricsIfRequested(const Args& args) {
@@ -1032,14 +982,22 @@ int main(int argc, char** argv) {
   std::optional<Args> parsed;
   try {
     installCancellationSignalHandlers();
-    parsed = Args::parse(argc, argv);
+    if (argc < 2) return usage();
+    const auto command = std::find_if(commands().begin(), commands().end(),
+                                      [&](const Command& c) { return c.name == std::string(argv[1]); });
+    if (command == commands().end()) {
+      std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
+      return usage();
+    }
+    parsed = Args::parse(argc, argv, command->options);
     const Args& args = *parsed;
-    if (args.positional.empty()) return usage();
-    if (args.options.count("threads")) setGlobalThreadCount(args.getN("threads", 0));
-    const int rc = dispatch(args);
-    // A failed or unknown command did no meaningful work; don't let its
-    // metrics snapshot clobber a previous valid one at the same path.
-    if (rc == kExitOk) writeMetricsIfRequested(args);
+    if (args.has("threads")) setGlobalThreadCount(args.getN("threads", 0));
+    const int rc = command->run(args);
+    // Exits 5 and 8 completed their work (a superset was printed), so their
+    // snapshot is valid. A failed or unknown command did no meaningful work;
+    // don't let its snapshot clobber a previous valid one at the same path.
+    if (rc == kExitOk || rc == kExitInconsistent || rc == kExitDefectSuperset)
+      writeMetricsIfRequested(args);
     return rc;
   } catch (const OperationCancelled& e) {
     // The journal (if any) holds every completed fault; the counters reflect
@@ -1059,9 +1017,6 @@ int main(int argc, char** argv) {
   } catch (const ParseError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitParseError;
-  } catch (const InconsistentDiagnosisError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return kExitInconsistent;
   } catch (const serve::ServerFatalError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return kExitServerFatal;
