@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bist/phase_shifter.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/session_engine.hpp"
@@ -63,8 +65,18 @@ TEST(BistController, UndetectedFaultGivesZeroErrorSignature) {
   GTEST_SKIP() << "all faults detected; nothing to check";
 }
 
-class ControllerVsEngine
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {};
+struct ControllerParam {
+  const char* circuit;
+  std::size_t chains;
+};
+
+// The ctest name is built from this, e.g. .../s298_3chains; the default
+// printer would put the string literal's address in it.
+void PrintTo(const ControllerParam& p, std::ostream* os) {
+  *os << p.circuit << "_" << p.chains << "chains";
+}
+
+class ControllerVsEngine : public ::testing::TestWithParam<ControllerParam> {};
 
 TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
   const auto [circuit, chains] = GetParam();
@@ -101,11 +113,9 @@ TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, ControllerVsEngine,
-                         ::testing::Values(std::make_tuple("s27", std::size_t{1}),
-                                           std::make_tuple("s298", std::size_t{1}),
-                                           std::make_tuple("s298", std::size_t{3}),
-                                           std::make_tuple("s344", std::size_t{2}),
-                                           std::make_tuple("s526", std::size_t{4})));
+                         ::testing::Values(ControllerParam{"s27", 1}, ControllerParam{"s298", 1},
+                                           ControllerParam{"s298", 3}, ControllerParam{"s344", 2},
+                                           ControllerParam{"s526", 4}));
 
 TEST(BistController, WorksWithStumpsParallelPatterns) {
   // The controller is pattern-source agnostic: STUMPS phase-shifter patterns
