@@ -5,10 +5,10 @@
 // checkpoint/resume layer (src/diagnosis/checkpoint.*) builds on:
 //
 //  * **Append-only framing.** The file is a header frame followed by record
-//    frames. Every frame is `[u32 payloadLen][u32 crc32(payload)][payload]`,
-//    little-endian, and every payload starts with a u16 record type. Appends
-//    go through one mutex, are flushed with write(2), and fsync'd, so a record
-//    that append() returned for survives a SIGKILL an instant later.
+//    frames, each one CRC-32 frame of common/wire.hpp whose u16 type tag is
+//    the record type. Appends go through one mutex, are flushed with
+//    write(2), and fsync'd, so a record that append() returned for survives a
+//    SIGKILL an instant later.
 //  * **Atomic creation.** A new journal is written to `<path>.tmp` (header
 //    frame + fsync) and renamed into place, then the directory is fsync'd —
 //    no observer ever sees a half-written header.
@@ -60,9 +60,6 @@ class JournalDigestMismatchError : public JournalError {
  public:
   using JournalError::JournalError;
 };
-
-/// CRC-32 (IEEE 802.3, reflected). `seed` chains partial buffers.
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0);
 
 /// FNV-1a 64-bit over `text`, chained through `seed` — the digest primitive
 /// the checkpoint layer hashes configs/topologies with (stable across

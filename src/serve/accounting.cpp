@@ -4,7 +4,7 @@
 
 #include <unordered_map>
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
@@ -43,13 +43,10 @@ std::string encodeId(std::uint64_t requestId) {
 }
 
 std::uint64_t decodeId(const JournalRecord& record) {
-  if (record.payload.size() != 8) {
-    throw JournalFormatError("ledger record type " + std::to_string(record.type) +
-                             " has payload of " + std::to_string(record.payload.size()) +
-                             " bytes (want 8)");
-  }
-  wire::Cursor cur(record.payload);
-  return cur.u64();
+  wire::Cursor<JournalFormatError> cur(record.payload, "ledger record");
+  const std::uint64_t id = cur.u64();
+  cur.expectExhausted();
+  return id;
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// CRC-framed socket protocol: the journal's framing discipline over a fd.
+// CRC-framed socket protocol: the frames of common/wire.hpp over a fd.
 //
-// A serve frame is byte-identical in shape to a journal frame:
-//
-//     [u32 payloadLen][u32 crc32(payload)][payload]   little-endian,
-//     payload = [u16 messageType][message bytes]
-//
-// so the protocol inherits the journal's property that a length-lying,
-// bit-flipped, or truncated frame is *detected*, never silently accepted.
-// What differs is the trust model: a journal's writer is this same program,
-// while a socket peer is arbitrary — possibly buggy, slow, or hostile. The
-// frame layer therefore enforces, before any allocation or blocking read:
+// A serve frame is the same bytes as a journal record with the same (type,
+// payload), so the protocol inherits the journal's property that a
+// length-lying, bit-flipped, or truncated frame is *detected*, never silently
+// accepted. What differs is the trust model: a journal's writer is this same
+// program, while a socket peer is arbitrary — possibly buggy, slow, or
+// hostile. The frame layer therefore enforces, before any allocation or
+// blocking read:
 //
 //  * a payload cap (kMaxFramePayload, far below the journal's 16 MiB — a
 //    diagnosis request is small; a 1 GiB length prefix is an attack, and the
@@ -28,6 +25,8 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
@@ -77,7 +76,7 @@ class PeerClosedError : public FrameError {
 inline constexpr std::uint32_t kMaxFramePayload = 1u << 20;
 
 /// Bytes of framing overhead preceding each payload (u32 len + u32 crc).
-inline constexpr std::size_t kFrameHeaderBytes = 8;
+inline constexpr std::size_t kFrameHeaderBytes = wire::kFrameHeaderBytes;
 
 struct Frame {
   std::uint16_t type = 0;

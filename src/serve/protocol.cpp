@@ -1,10 +1,12 @@
 #include "serve/protocol.hpp"
 
-#include "serve/wire.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag::serve {
 
 namespace {
+
+using Cursor = wire::Cursor<FrameFormatError>;
 
 /// Caps on string fields, enforced on decode before allocation. Gate names
 /// are tens of bytes; tester logs grow with session count but half the frame
@@ -41,7 +43,7 @@ std::string encodeDiagnoseRequest(const DiagnoseRequest& request) {
 }
 
 DiagnoseRequest decodeDiagnoseRequest(const std::string& payload) {
-  wire::Cursor cur(payload);
+  Cursor cur(payload, "diagnose request");
   DiagnoseRequest request;
   const std::uint16_t kind = cur.u16();
   if (kind > static_cast<std::uint16_t>(DiagnoseRequest::Kind::DefectScenario)) {
@@ -56,7 +58,7 @@ DiagnoseRequest decodeDiagnoseRequest(const std::string& payload) {
     request.defectSeed = cur.u64();
     request.defectIndex = cur.u32();
   }
-  cur.expectExhausted("diagnose request");
+  cur.expectExhausted();
   return request;
 }
 
@@ -76,7 +78,7 @@ std::string encodeDiagnoseReply(const DiagnoseReply& reply) {
 }
 
 DiagnoseReply decodeDiagnoseReply(const std::string& payload) {
-  wire::Cursor cur(payload);
+  Cursor cur(payload, "diagnose reply");
   DiagnoseReply reply;
   const std::uint16_t status = cur.u16();
   if (status > static_cast<std::uint16_t>(ReplyStatus::Error)) {
@@ -100,7 +102,7 @@ DiagnoseReply decodeDiagnoseReply(const std::string& payload) {
   }
   reply.candidateCells.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) reply.candidateCells.push_back(cur.u32());
-  cur.expectExhausted("diagnose reply");
+  cur.expectExhausted();
   return reply;
 }
 
@@ -116,7 +118,7 @@ std::string encodeStatsReply(const StatsReply& stats) {
 }
 
 StatsReply decodeStatsReply(const std::string& payload) {
-  wire::Cursor cur(payload);
+  Cursor cur(payload, "stats reply");
   StatsReply stats;
   stats.accepted = cur.u64();
   stats.ok = cur.u64();
@@ -124,7 +126,7 @@ StatsReply decodeStatsReply(const std::string& payload) {
   stats.degraded = cur.u64();
   stats.aborted = cur.u64();
   stats.framesRejected = cur.u64();
-  cur.expectExhausted("stats reply");
+  cur.expectExhausted();
   return stats;
 }
 

@@ -20,6 +20,7 @@
 
 #include "common/errors.hpp"
 #include "common/rng.hpp"
+#include "common/wire.hpp"
 
 namespace scandiag {
 namespace {
@@ -43,10 +44,10 @@ void dump(const std::string& path, const std::string& bytes) {
 
 TEST(Journal, Crc32MatchesKnownVector) {
   const std::string check = "123456789";
-  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(wire::crc32(check.data(), check.size()), 0xCBF43926u);
   // Chained partial buffers equal one pass.
-  const std::uint32_t part = crc32(check.data(), 4);
-  EXPECT_EQ(crc32(check.data() + 4, 5, part), 0xCBF43926u);
+  const std::uint32_t part = wire::crc32(check.data(), 4);
+  EXPECT_EQ(wire::crc32(check.data() + 4, 5, part), 0xCBF43926u);
 }
 
 TEST(Journal, Fnv1a64MatchesKnownVectors) {
