@@ -1,11 +1,9 @@
 #include "common/json.hpp"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
+#include <cstdio>
 
 #include "common/assert.hpp"
-#include "common/errors.hpp"
 
 namespace scandiag {
 
@@ -153,385 +151,5 @@ void JsonWriter::writeEscaped(const std::string& s) {
   }
   *out_ << '"';
 }
-
-// ---------------------------------------------------------------------------
-// JsonValue
-
-bool JsonValue::asBool() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Bool, "JSON value is not a bool");
-  return bool_;
-}
-
-double JsonValue::asDouble() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  switch (numberRepr_) {
-    case NumberRepr::Uint: return static_cast<double>(uint_);
-    case NumberRepr::Int: return static_cast<double>(int_);
-    case NumberRepr::Double: return double_;
-  }
-  return double_;
-}
-
-std::uint64_t JsonValue::asUint() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  SCANDIAG_REQUIRE(numberRepr_ == NumberRepr::Uint,
-                   "JSON number is not an unsigned integer");
-  return uint_;
-}
-
-std::int64_t JsonValue::asInt() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Number, "JSON value is not a number");
-  if (numberRepr_ == NumberRepr::Int) return int_;
-  SCANDIAG_REQUIRE(numberRepr_ == NumberRepr::Uint &&
-                       uint_ <= static_cast<std::uint64_t>(INT64_MAX),
-                   "JSON number does not fit in int64");
-  return static_cast<std::int64_t>(uint_);
-}
-
-const std::string& JsonValue::asString() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::String, "JSON value is not a string");
-  return string_;
-}
-
-std::size_t JsonValue::size() const {
-  if (kind_ == Kind::Array) return items_.size();
-  if (kind_ == Kind::Object) return members_.size();
-  return 0;
-}
-
-const JsonValue& JsonValue::at(std::size_t index) const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Array, "JSON value is not an array");
-  SCANDIAG_REQUIRE(index < items_.size(), "JSON array index out of range");
-  return items_[index];
-}
-
-bool JsonValue::has(const std::string& name) const {
-  if (kind_ != Kind::Object) return false;
-  for (const auto& [key, value] : members_) {
-    if (key == name) return true;
-  }
-  return false;
-}
-
-const JsonValue& JsonValue::at(const std::string& name) const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Object, "JSON value is not an object");
-  for (const auto& [key, value] : members_) {
-    if (key == name) return value;
-  }
-  throw std::invalid_argument("JSON object has no member \"" + name + "\"");
-}
-
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Object, "JSON value is not an object");
-  return members_;
-}
-
-const std::vector<JsonValue>& JsonValue::items() const {
-  SCANDIAG_REQUIRE(kind_ == Kind::Array, "JSON value is not an array");
-  return items_;
-}
-
-JsonValue JsonValue::makeNull() { return JsonValue{}; }
-
-JsonValue JsonValue::makeBool(bool v) {
-  JsonValue out;
-  out.kind_ = Kind::Bool;
-  out.bool_ = v;
-  return out;
-}
-
-JsonValue JsonValue::makeUint(std::uint64_t v) {
-  JsonValue out;
-  out.kind_ = Kind::Number;
-  out.numberRepr_ = NumberRepr::Uint;
-  out.uint_ = v;
-  return out;
-}
-
-JsonValue JsonValue::makeInt(std::int64_t v) {
-  if (v >= 0) return makeUint(static_cast<std::uint64_t>(v));
-  JsonValue out;
-  out.kind_ = Kind::Number;
-  out.numberRepr_ = NumberRepr::Int;
-  out.int_ = v;
-  return out;
-}
-
-JsonValue JsonValue::makeDouble(double v) {
-  SCANDIAG_REQUIRE(std::isfinite(v), "JSON cannot represent NaN/Inf");
-  JsonValue out;
-  out.kind_ = Kind::Number;
-  out.numberRepr_ = NumberRepr::Double;
-  out.double_ = v;
-  return out;
-}
-
-JsonValue JsonValue::makeString(std::string v) {
-  JsonValue out;
-  out.kind_ = Kind::String;
-  out.string_ = std::move(v);
-  return out;
-}
-
-JsonValue JsonValue::makeArray(std::vector<JsonValue> items) {
-  JsonValue out;
-  out.kind_ = Kind::Array;
-  out.items_ = std::move(items);
-  return out;
-}
-
-JsonValue JsonValue::makeObject(std::vector<std::pair<std::string, JsonValue>> members) {
-  JsonValue out;
-  out.kind_ = Kind::Object;
-  out.members_ = std::move(members);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Parser
-
-namespace {
-
-constexpr std::size_t kMaxJsonDepth = 64;
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parseDocument() {
-    skipWhitespace();
-    JsonValue root = parseValue(0);
-    skipWhitespace();
-    if (pos_ != text_.size()) fail("trailing garbage after JSON document");
-    return root;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& message) const {
-    throw ParseError("json", line_, message);
-  }
-
-  bool atEnd() const { return pos_ >= text_.size(); }
-
-  char peek() const {
-    if (atEnd()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  char take() {
-    const char c = peek();
-    ++pos_;
-    if (c == '\n') ++line_;
-    return c;
-  }
-
-  void expect(char c) {
-    if (take() != c) fail(std::string("expected '") + c + "'");
-  }
-
-  void skipWhitespace() {
-    while (!atEnd()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') return;
-      take();
-    }
-  }
-
-  void expectLiteral(const char* literal) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (atEnd() || take() != *p) fail(std::string("invalid literal, expected ") + literal);
-    }
-  }
-
-  JsonValue parseValue(std::size_t depth) {
-    if (depth > kMaxJsonDepth) fail("JSON nesting too deep");
-    skipWhitespace();
-    const char c = peek();
-    switch (c) {
-      case '{': return parseObject(depth);
-      case '[': return parseArray(depth);
-      case '"': return JsonValue::makeString(parseString());
-      case 't':
-        expectLiteral("true");
-        return JsonValue::makeBool(true);
-      case 'f':
-        expectLiteral("false");
-        return JsonValue::makeBool(false);
-      case 'n':
-        expectLiteral("null");
-        return JsonValue::makeNull();
-      default: return parseNumber();
-    }
-  }
-
-  JsonValue parseObject(std::size_t depth) {
-    expect('{');
-    std::vector<std::pair<std::string, JsonValue>> members;
-    skipWhitespace();
-    if (peek() == '}') {
-      take();
-      return JsonValue::makeObject(std::move(members));
-    }
-    for (;;) {
-      skipWhitespace();
-      if (peek() != '"') fail("object member key must be a string");
-      std::string key = parseString();
-      skipWhitespace();
-      expect(':');
-      members.emplace_back(std::move(key), parseValue(depth + 1));
-      skipWhitespace();
-      const char next = take();
-      if (next == '}') return JsonValue::makeObject(std::move(members));
-      if (next != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  JsonValue parseArray(std::size_t depth) {
-    expect('[');
-    std::vector<JsonValue> items;
-    skipWhitespace();
-    if (peek() == ']') {
-      take();
-      return JsonValue::makeArray(std::move(items));
-    }
-    for (;;) {
-      items.push_back(parseValue(depth + 1));
-      skipWhitespace();
-      const char next = take();
-      if (next == ']') return JsonValue::makeArray(std::move(items));
-      if (next != ',') fail("expected ',' or ']' in array");
-    }
-  }
-
-  std::string parseString() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      const char c = take();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) fail("unescaped control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = take();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': appendUnicodeEscape(out); break;
-        default: fail("invalid string escape");
-      }
-    }
-  }
-
-  unsigned parseHex4() {
-    unsigned code = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = take();
-      code <<= 4;
-      if (c >= '0' && c <= '9') {
-        code |= static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        code |= static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        code |= static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("invalid \\u escape");
-      }
-    }
-    return code;
-  }
-
-  void appendUnicodeEscape(std::string& out) {
-    unsigned code = parseHex4();
-    if (code >= 0xD800 && code <= 0xDBFF) {
-      // High surrogate: a \uDCxx low surrogate must immediately follow, and
-      // the pair decodes to one supplementary-plane code point.
-      if (take() != '\\' || take() != 'u') fail("unpaired surrogate in \\u escape");
-      const unsigned low = parseHex4();
-      if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate in \\u escape");
-      code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-    } else if (code >= 0xDC00 && code <= 0xDFFF) {
-      fail("unpaired surrogate in \\u escape");
-    }
-    if (code < 0x80) {
-      out.push_back(static_cast<char>(code));
-    } else if (code < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else if (code < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-    }
-  }
-
-  JsonValue parseNumber() {
-    const std::size_t start = pos_;
-    bool negative = false;
-    if (peek() == '-') {
-      negative = true;
-      take();
-    }
-    if (atEnd() || !isDigit(peek())) fail("invalid number");
-    if (peek() == '0') {
-      take();
-      if (!atEnd() && isDigit(text_[pos_])) fail("leading zero in number");
-    } else {
-      while (!atEnd() && isDigit(text_[pos_])) take();
-    }
-    bool isIntegral = true;
-    if (!atEnd() && text_[pos_] == '.') {
-      isIntegral = false;
-      take();
-      if (atEnd() || !isDigit(peek())) fail("digit required after decimal point");
-      while (!atEnd() && isDigit(text_[pos_])) take();
-    }
-    if (!atEnd() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      isIntegral = false;
-      take();
-      if (!atEnd() && (text_[pos_] == '+' || text_[pos_] == '-')) take();
-      if (atEnd() || !isDigit(peek())) fail("digit required in exponent");
-      while (!atEnd() && isDigit(text_[pos_])) take();
-    }
-    const std::string token = text_.substr(start, pos_ - start);
-    if (isIntegral) {
-      errno = 0;
-      if (!negative) {
-        const std::uint64_t v = std::strtoull(token.c_str(), nullptr, 10);
-        if (errno == ERANGE) fail("unsigned integer out of range");
-        return JsonValue::makeUint(v);
-      }
-      const std::int64_t v = std::strtoll(token.c_str(), nullptr, 10);
-      if (errno == ERANGE) fail("integer out of range");
-      return JsonValue::makeInt(v);
-    }
-    errno = 0;
-    const double v = std::strtod(token.c_str(), nullptr);
-    if (errno == ERANGE || !std::isfinite(v)) fail("number out of range");
-    return JsonValue::makeDouble(v);
-  }
-
-  static bool isDigit(char c) { return c >= '0' && c <= '9'; }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
-}  // namespace
-
-JsonValue parseJson(const std::string& text) { return JsonParser(text).parseDocument(); }
 
 }  // namespace scandiag

@@ -1,15 +1,13 @@
-// Minimal JSON support: a streaming writer (JsonWriter) for report output and
-// a small DOM + recursive-descent parser (JsonValue / parseJson) for reading
-// our own emitted files back — metrics snapshots, bench goldens. The parser
-// keeps integers exact (uint64/int64 are preserved bit-for-bit, not squeezed
-// through double), which the counter round-trip tests depend on.
+// Minimal streaming JSON writer for report output: metrics snapshots, bench
+// reports, CLI --json. Integers are written exactly (a uint64 counter is
+// never squeezed through double); doubles use %.6g. Nothing in the program
+// reads JSON back — scripts/check_bench_counters.py and the tests read these
+// files with Python's json module.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace scandiag {
@@ -55,69 +53,5 @@ class JsonWriter {
   std::vector<bool> hasItems_;
   bool keyPending_ = false;
 };
-
-/// Parsed JSON document node. Numbers remember how they were spelled: an
-/// unsigned integer literal is stored as uint64, a negative integer as int64,
-/// anything with a fraction/exponent as double. Object members keep insertion
-/// order (matching what JsonWriter emitted).
-class JsonValue {
- public:
-  enum class Kind { Null, Bool, Number, String, Array, Object };
-
-  JsonValue() = default;
-
-  Kind kind() const { return kind_; }
-  bool isNull() const { return kind_ == Kind::Null; }
-  bool isBool() const { return kind_ == Kind::Bool; }
-  bool isNumber() const { return kind_ == Kind::Number; }
-  bool isString() const { return kind_ == Kind::String; }
-  bool isArray() const { return kind_ == Kind::Array; }
-  bool isObject() const { return kind_ == Kind::Object; }
-
-  /// Type-checked accessors; throw std::invalid_argument on kind mismatch
-  /// (asUint additionally rejects negative or fractional numbers).
-  bool asBool() const;
-  double asDouble() const;
-  std::uint64_t asUint() const;
-  std::int64_t asInt() const;
-  const std::string& asString() const;
-
-  /// Array element count / object member count; 0 for scalars.
-  std::size_t size() const;
-  /// Array element access (throws on kind mismatch / out of range).
-  const JsonValue& at(std::size_t index) const;
-  /// Object member lookup.
-  bool has(const std::string& name) const;
-  const JsonValue& at(const std::string& name) const;
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
-  const std::vector<JsonValue>& items() const;
-
-  static JsonValue makeNull();
-  static JsonValue makeBool(bool v);
-  static JsonValue makeUint(std::uint64_t v);
-  static JsonValue makeInt(std::int64_t v);
-  static JsonValue makeDouble(double v);
-  static JsonValue makeString(std::string v);
-  static JsonValue makeArray(std::vector<JsonValue> items);
-  static JsonValue makeObject(std::vector<std::pair<std::string, JsonValue>> members);
-
- private:
-  enum class NumberRepr { Uint, Int, Double };
-
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  NumberRepr numberRepr_ = NumberRepr::Uint;
-  std::uint64_t uint_ = 0;
-  std::int64_t int_ = 0;
-  double double_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<std::pair<std::string, JsonValue>> members_;
-};
-
-/// Parses a complete JSON document. Throws ParseError("json", line, ...) on
-/// malformed input, trailing garbage, or nesting deeper than an internal
-/// limit. Accepts exactly the subset JsonWriter emits (plus \uXXXX escapes).
-JsonValue parseJson(const std::string& text);
 
 }  // namespace scandiag

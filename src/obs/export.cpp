@@ -1,9 +1,7 @@
 #include "obs/export.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
-#include "common/assert.hpp"
 #include "common/journal.hpp"
 #include "common/json.hpp"
 
@@ -65,51 +63,6 @@ void writeMetricsFile(const std::string& path, const MetricsContext& context) {
   writeMetricsObject(writer, MetricsRegistry::instance().snapshot(), context);
   out << '\n';
   atomicWriteFile(path, out.str());
-}
-
-namespace {
-
-std::size_t counterIndex(const std::string& name) {
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    if (name == counterName(static_cast<Counter>(i))) return i;
-  }
-  throw std::invalid_argument("unknown metrics counter: " + name);
-}
-
-std::size_t phaseIndex(const std::string& name) {
-  for (std::size_t i = 0; i < kNumPhases; ++i) {
-    if (name == phaseName(static_cast<Phase>(i))) return i;
-  }
-  throw std::invalid_argument("unknown metrics phase: " + name);
-}
-
-}  // namespace
-
-MetricsSnapshot snapshotFromJson(const JsonValue& root) {
-  SCANDIAG_REQUIRE(root.isObject(), "metrics document must be a JSON object");
-  MetricsSnapshot snap;
-  if (root.has("counters")) {
-    for (const auto& [name, value] : root.at("counters").members()) {
-      snap.counters[counterIndex(name)] = value.asUint();
-    }
-  }
-  if (root.has("phases")) {
-    for (const auto& [name, value] : root.at("phases").members()) {
-      PhaseStat& stat = snap.phases[phaseIndex(name)];
-      stat.nanos = value.at("nanos").asUint();
-      stat.calls = value.at("calls").asUint();
-    }
-  }
-  if (root.has("workers")) {
-    for (const JsonValue& entry : root.at("workers").items()) {
-      WorkerStat w;
-      w.worker = static_cast<std::size_t>(entry.at("worker").asUint());
-      w.busyNanos = entry.at("busy_nanos").asUint();
-      w.tasks = entry.at("tasks").asUint();
-      snap.workers.push_back(w);
-    }
-  }
-  return snap;
 }
 
 }  // namespace scandiag::obs

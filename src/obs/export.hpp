@@ -1,4 +1,4 @@
-// JSON export/import for metrics snapshots. The schema is stable and
+// JSON export for metrics snapshots. The schema is stable and
 // versioned so CI goldens and external tooling can rely on it:
 //
 //   {
@@ -23,7 +23,6 @@
 
 namespace scandiag {
 class JsonWriter;
-class JsonValue;
 }  // namespace scandiag
 
 namespace scandiag::obs {
@@ -54,10 +53,5 @@ void writeMetricsObject(JsonWriter& writer, const MetricsSnapshot& snap,
 /// Snapshots the global registry and writes a full document to `path`.
 /// Throws std::runtime_error if the file cannot be opened.
 void writeMetricsFile(const std::string& path, const MetricsContext& context);
-
-/// Rebuilds a snapshot from a parsed metrics document (full document or any
-/// object with "counters"/"phases"/"workers" members). Unknown counter/phase
-/// names throw (schema mismatch should be loud); missing sections are zero.
-MetricsSnapshot snapshotFromJson(const JsonValue& root);
 
 }  // namespace scandiag::obs

@@ -4,19 +4,41 @@
     expect_exit.py --exit 2 --stderr "unknown option" -- scandiag dr s953 --jsno
     expect_exit.py --exit 8 --creates m.json -- scandiag dr s953 --defects 2 ...
 
---creates PATH removes PATH before the run and requires it to exist after.
+--creates PATH removes PATH before the run and requires it to exist after,
+to parse as JSON, and to be a metrics document (schema_version 1 and a
+non-empty counters object).
 """
 import argparse
+import json
 import os
 import subprocess
 import sys
+
+
+def metrics_file_problems(path):
+    if not os.path.exists(path):
+        return [f"{path} was not written"]
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except ValueError as e:
+        return [f"{path} is not JSON: {e}"]
+    if not isinstance(doc, dict):
+        return [f"{path} is not a JSON object"]
+    problems = []
+    if doc.get("schema_version") != 1:
+        problems.append(f"{path} lacks schema_version 1")
+    counters = doc.get("counters")
+    if not isinstance(counters, dict) or not counters:
+        problems.append(f"{path} lacks a non-empty counters object")
+    return problems
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--exit", type=int, required=True, help="expected exit code")
     parser.add_argument("--stderr", default="", help="text stderr must contain")
-    parser.add_argument("--creates", default="", help="file the command must write")
+    parser.add_argument("--creates", default="", help="metrics file the command must write")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     opts = parser.parse_args()
     command = opts.command[1:] if opts.command[:1] == ["--"] else opts.command
@@ -29,8 +51,8 @@ def main():
         problems.append(f"exit {proc.returncode}, expected {opts.exit}")
     if opts.stderr not in proc.stderr:
         problems.append(f"stderr lacks {opts.stderr!r}")
-    if opts.creates and not os.path.exists(opts.creates):
-        problems.append(f"{opts.creates} was not written")
+    if opts.creates:
+        problems += metrics_file_problems(opts.creates)
     for problem in problems:
         print(f"FAIL {' '.join(command)}: {problem}")
     if problems:
