@@ -194,5 +194,28 @@ TEST(ShardedSweep, DedupReportMatchesNoDedupReportPerInstance) {
   EXPECT_EQ(dedup.classes[0].instanceCount, 4u);
 }
 
+TEST(ShardedSweep, ClassChainShorterThanGroupCountRunsWithFewerGroups) {
+  // s298 has 14 cells: on a 2-wide TAM its core-local chains are 7 long, so
+  // 16 groups cannot be formed. The class runs with 4 groups (the largest
+  // power of two that fits) instead, and its sweep id names that config.
+  const Soc soc = buildReplicatedSoc("s298", 2, 2);
+  DiagnosisConfig wide = sweepConfig();
+  wide.groupsPerPartition = 16;
+  DiagnosisConfig fitted = sweepConfig();
+  fitted.groupsPerPartition = 4;
+  const SocSweepResult clamped =
+      runSocClassSweep(soc, sweepWorkload(), wide, shardOptions(0, 1));
+  const SocSweepResult exact =
+      runSocClassSweep(soc, sweepWorkload(), fitted, shardOptions(0, 1));
+  ASSERT_EQ(clamped.classes.size(), 1u);
+  ASSERT_EQ(exact.classes.size(), 1u);
+  const std::uint64_t hash = clamped.classes[0].classHash;
+  EXPECT_EQ(clamped.manifests[0].sweepId, socClassSweepId(fitted, hash, 0));
+  EXPECT_NE(clamped.manifests[0].sweepId, socClassSweepId(wide, hash, 0));
+  EXPECT_GT(clamped.classes[0].report.faults, 0u);
+  EXPECT_EQ(clamped.classes[0].report.sumCandidates, exact.classes[0].report.sumCandidates);
+  EXPECT_EQ(clamped.classes[0].report.sumActual, exact.classes[0].report.sumActual);
+}
+
 }  // namespace
 }  // namespace scandiag
