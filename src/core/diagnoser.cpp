@@ -1,7 +1,8 @@
 #include "core/diagnoser.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
-#include "sim/fault_list.hpp"
 
 namespace scandiag {
 
@@ -9,8 +10,7 @@ namespace {
 
 ScanTopology makeTopology(const Netlist& netlist, std::size_t numChains) {
   SCANDIAG_REQUIRE(!netlist.dffs().empty(), "circuit has no scan cells");
-  return numChains <= 1 ? ScanTopology::singleChain(netlist.dffs().size())
-                        : ScanTopology::blockChains(netlist.dffs().size(), numChains);
+  return ScanTopology::blockChains(netlist.dffs().size(), std::max<std::size_t>(numChains, 1));
 }
 
 }  // namespace
@@ -46,11 +46,7 @@ const std::string& Diagnoser::cellName(std::size_t cell) const {
 }
 
 DrReport Diagnoser::evaluateResolution(std::size_t numFaults, std::uint64_t seed) const {
-  const FaultList universe = FaultList::enumerateCollapsed(netlist_);
-  const std::vector<FaultSite> candidates =
-      universe.sample(std::min(universe.size(), numFaults * 4), seed);
-  const std::vector<FaultResponse> responses = faultSim_.collectDetected(candidates, numFaults);
-  return pipeline_.evaluate(responses);
+  return pipeline_.evaluate(sampleDetectedFaults(faultSim_, numFaults, seed));
 }
 
 }  // namespace scandiag

@@ -370,21 +370,25 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
   return dr;
 }
 
+std::vector<FaultResponse> sampleDetectedFaults(const FaultSimulator& sim,
+                                                std::size_t numFaults, std::uint64_t seed) {
+  const FaultList universe = FaultList::enumerateCollapsed(sim.netlist());
+  // Oversample: random patterns typically detect 60-95% of stuck-at faults,
+  // so 4x candidates nearly always yields the full target of detected faults.
+  const std::vector<FaultSite> candidates =
+      universe.sample(std::min(universe.size(), numFaults * 4), seed);
+  return sim.collectDetected(candidates, numFaults);
+}
+
 CircuitWorkload prepareWorkload(const Netlist& netlist, const WorkloadConfig& config,
                                 std::size_t numChains) {
   SCANDIAG_REQUIRE(!netlist.dffs().empty(), "workload circuit has no scan cells");
   const PatternSet patterns = generatePatterns(netlist, config.numPatterns, config.prpg);
-  const FaultSimulator sim(netlist, patterns);
-  const FaultList universe = FaultList::enumerateCollapsed(netlist);
-  // Oversample: random patterns typically detect 60-95% of stuck-at faults,
-  // so 4x candidates nearly always yields the full target of detected faults.
-  const std::vector<FaultSite> candidates =
-      universe.sample(std::min(universe.size(), config.numFaults * 4), config.faultSeed);
-
   CircuitWorkload out;
-  out.topology = numChains <= 1 ? ScanTopology::singleChain(netlist.dffs().size())
-                                : ScanTopology::blockChains(netlist.dffs().size(), numChains);
-  out.responses = sim.collectDetected(candidates, config.numFaults);
+  out.topology =
+      ScanTopology::blockChains(netlist.dffs().size(), std::max<std::size_t>(numChains, 1));
+  out.responses =
+      sampleDetectedFaults(FaultSimulator(netlist, patterns), config.numFaults, config.faultSeed);
   out.patternsApplied = config.numPatterns;
   return out;
 }

@@ -229,6 +229,13 @@ struct CircuitWorkload {
   std::size_t patternsApplied = 0;
 };
 
+/// The faults every experiment diagnoses: samples 4 x `numFaults` sites from
+/// the collapsed fault universe of `sim`'s netlist with `seed`, and keeps the
+/// first `numFaults` that `sim`'s patterns detect (fewer when the sample runs
+/// out).
+std::vector<FaultResponse> sampleDetectedFaults(const FaultSimulator& sim,
+                                                std::size_t numFaults, std::uint64_t seed);
+
 /// Full-scan `netlist` with `numChains` balanced block chains; samples from
 /// the collapsed fault universe until `numFaults` detected faults are found
 /// (or the universe is exhausted).

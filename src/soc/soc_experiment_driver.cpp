@@ -3,7 +3,6 @@
 #include "bist/prpg.hpp"
 #include "common/assert.hpp"
 #include "common/thread_pool.hpp"
-#include "sim/fault_list.hpp"
 
 namespace scandiag {
 
@@ -17,11 +16,8 @@ std::vector<FaultResponse> socResponsesForFailingCore(const Soc& soc, std::size_
   local.faultSeed = config.faultSeed ^ (0xc2b2ae3d27d4eb4fULL * (coreIndex + 1));
 
   const PatternSet patterns = generatePatterns(*core.netlist, local.numPatterns, local.prpg);
-  const FaultSimulator sim(*core.netlist, patterns);
-  const FaultList universe = FaultList::enumerateCollapsed(*core.netlist);
-  const std::vector<FaultSite> candidates =
-      universe.sample(std::min(universe.size(), local.numFaults * 4), local.faultSeed);
-  std::vector<FaultResponse> responses = sim.collectDetected(candidates, local.numFaults);
+  std::vector<FaultResponse> responses = sampleDetectedFaults(
+      FaultSimulator(*core.netlist, patterns), local.numFaults, local.faultSeed);
 
   // Lift local DFF ordinals to global cell ids.
   const std::size_t total = soc.totalCells();

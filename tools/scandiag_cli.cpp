@@ -251,10 +251,6 @@ Netlist loadCircuit(const std::string& spec) {
   return generateNamedCircuit(spec);
 }
 
-ScanTopology topologyFor(std::size_t cells, std::size_t chains) {
-  return chains <= 1 ? ScanTopology::singleChain(cells) : ScanTopology::blockChains(cells, chains);
-}
-
 DiagnosisConfig configFrom(const Args& args) {
   DiagnosisConfig c;
   c.scheme = parseSchemeKind(args.get("scheme", "two-step"));
@@ -415,7 +411,8 @@ int cmdDiagnose(const Args& args) {
   const std::string faultSpec = gate + "/SA" + (sa ? "1" : "0");
 
   const DiagnosisConfig config = configFrom(args);
-  const ScanTopology topology = topologyFor(nl.dffs().size(), args.getN("chains", 1));
+  const ScanTopology topology =
+      ScanTopology::blockChains(nl.dffs().size(), std::max<std::size_t>(args.getN("chains", 1), 1));
   const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
   const FaultResponse response =
       FaultSimulator(nl, patterns).simulate(FaultSite{site, FaultSite::kOutputPin, sa});
@@ -534,7 +531,8 @@ int cmdDr(const Args& args) {
   if (defects) {
     if (config.scheme == SchemeKind::Adaptive)
       throw std::invalid_argument("--defects is incompatible with --scheme adaptive");
-    const ScanTopology topology = topologyFor(nl.dffs().size(), chains);
+    const ScanTopology topology =
+        ScanTopology::blockChains(nl.dffs().size(), std::max<std::size_t>(chains, 1));
     const PatternSet patterns = generatePatterns(nl, config.numPatterns, PrpgConfig{});
     const FaultSimulator sim(nl, patterns);
     const DefectScenarioGenerator generator(sim, *defects);
@@ -784,7 +782,8 @@ int cmdOffline(const Args& args) {
   if (logPath.empty()) throw std::invalid_argument("offline needs --log <file>");
   const std::size_t cells = args.getN("cells", 0);
   if (cells == 0) throw std::invalid_argument("offline needs --cells <scan cell count>");
-  const ScanTopology topology = topologyFor(cells, args.getN("chains", 1));
+  const ScanTopology topology =
+      ScanTopology::blockChains(cells, std::max<std::size_t>(args.getN("chains", 1), 1));
   const TesterLog log = parseTesterLogFile(logPath);
   DiagnosisConfig config = configFrom(args);
   config.numPartitions = args.getN("partitions", log.numPartitions);
