@@ -62,8 +62,7 @@ int main() {
     config.misrDegree = 16;
 
     // Assemble the pipeline by hand so the engine sees the compactor.
-    const std::vector<Partition> partitions =
-        buildPartitions(config, work.topology.maxChainLength());
+    const PreparedPartitionSet prepared(buildPartitions(config, work.topology.maxChainLength()));
     SessionConfig sc{SignatureMode::Misr, config.numPatterns};
     sc.misrDegree = config.misrDegree;
     sc.compactor = lines == chains ? nullptr : &compactor;
@@ -74,8 +73,8 @@ int main() {
       DrAccumulator acc;
       std::size_t violations = 0;
       for (const FaultResponse& r : responses) {
-        const GroupVerdicts verdicts = engine.run(partitions, r);
-        const CandidateSet cand = analyzer.analyze(partitions, verdicts);
+        const GroupVerdicts verdicts = engine.run(prepared, r);
+        const CandidateSet cand = analyzer.analyze(prepared.partitions(), verdicts);
         acc.add(cand.cellCount(), r.failingCellCount());
         violations += !r.failingCells.isSubsetOf(cand.cells);
       }

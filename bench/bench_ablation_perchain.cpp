@@ -22,8 +22,7 @@ int main() {
   report.context("soc", "d695");
   report.context("chains", soc.topology().numChains());
   const DiagnosisConfig config = presets::d695Config(SchemeKind::TwoStep, false);
-  const std::vector<Partition> partitions =
-      buildPartitions(config, soc.topology().maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, soc.topology().maxChainLength()));
 
   const SessionEngine engine(soc.topology(), SessionConfig{SignatureMode::Exact, 128});
   const CandidateAnalyzer shared(soc.topology());
@@ -34,9 +33,9 @@ int main() {
     const auto responses = socResponsesForFailingCore(soc, k, workload);
     DrAccumulator accShared, accPerChain;
     for (const FaultResponse& r : responses) {
-      const GroupVerdicts v = engine.run(partitions, r);
-      accShared.add(shared.analyze(partitions, v).cellCount(), r.failingCellCount());
-      accPerChain.add(perChain.diagnose(partitions, r).cellCount(), r.failingCellCount());
+      const GroupVerdicts v = engine.run(prepared, r);
+      accShared.add(shared.analyze(prepared.partitions(), v).cellCount(), r.failingCellCount());
+      accPerChain.add(perChain.diagnose(prepared, r).cellCount(), r.failingCellCount());
     }
     row("%-9s | %14.2f %14.2f %7sx", soc.core(k).name.c_str(), accShared.dr(),
         accPerChain.dr(), improvement(accShared.dr(), accPerChain.dr()).c_str());

@@ -52,10 +52,8 @@ int main() {
       config.numPartitions = numPartitions;
       config.groupsPerPartition = groups;
       config.numPatterns = numPatterns;
-      const std::vector<Partition> partitions =
-          buildPartitions(config, topology.maxChainLength());
+      const PreparedPartitionSet prepared(buildPartitions(config, topology.maxChainLength()));
       const SessionEngine engine(topology, SessionConfig{SignatureMode::Exact, numPatterns});
-      const CandidateAnalyzer analyzer(topology);
 
       DrAccumulator acc;
       for (std::size_t f = 0; f < faults.size(); ++f) {
@@ -71,12 +69,7 @@ int main() {
         for (std::size_t p = 0; p < numPartitions; ++p) {
           const FaultResponse& r = perSeed[reseed ? p : 0][f];
           actual |= r.failingCells;
-          const GroupVerdicts v = engine.run({partitions[p]}, r);
-          BitVector failingUnion(topology.maxChainLength());
-          for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-            if (v.failing[0].test(g)) failingUnion |= partitions[p].groups[g];
-          }
-          positions &= failingUnion;
+          positions &= prepared[p].unionOf(engine.runPartition(prepared, p, r).failing);
         }
         const BitVector candidates = topology.expandPositions(positions);
         acc.add(candidates.count(), actual.count());

@@ -43,10 +43,10 @@ int main() {
   for (SchemeKind scheme : {SchemeKind::IntervalBased, SchemeKind::RandomSelection}) {
     SchemeConfig cfg;
     auto gen = makeScheme(scheme, cfg, work.topology.maxChainLength(), 4);
-    const std::vector<Partition> partitions{gen->next()};
+    const PreparedPartitionSet prepared(std::vector<Partition>{gen->next()});
     for (const FaultResponse& r : clustered) {
-      const GroupVerdicts v = engine.run(partitions, r);
-      sums[i] += static_cast<double>(analyzer.analyze(partitions, v).cellCount());
+      const GroupVerdicts v = engine.run(prepared, r);
+      sums[i] += static_cast<double>(analyzer.analyze(prepared.partitions(), v).cellCount());
     }
     sums[i] /= static_cast<double>(clustered.size());
     ++i;
@@ -70,9 +70,9 @@ int main() {
   for (SchemeKind scheme : {SchemeKind::IntervalBased, SchemeKind::RandomSelection}) {
     SchemeConfig cfg;
     auto gen = makeScheme(scheme, cfg, work.topology.maxChainLength(), 4);
-    const std::vector<Partition> partitions{gen->next()};
-    const GroupVerdicts v = engine.run(partitions, r);
-    const CandidateSet cand = analyzer.analyze(partitions, v);
+    const PreparedPartitionSet prepared(std::vector<Partition>{gen->next()});
+    const GroupVerdicts v = engine.run(prepared, r);
+    const CandidateSet cand = analyzer.analyze(prepared.partitions(), v);
     row("  %-17s -> %2zu suspect cells", schemeName(scheme).c_str(), cand.cellCount());
     report.row({{"example_scheme", schemeName(scheme)},
                 {"example_suspects", cand.cellCount()}});

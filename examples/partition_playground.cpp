@@ -71,18 +71,18 @@ int main(int argc, char** argv) {
   // One interval-based partition.
   IntervalPartitioner interval(IntervalPartitionerConfig{LfsrConfig{16, 0}, 0, 0xBEEF},
                                topology.maxChainLength(), 4);
-  const std::vector<Partition> ip{interval.next()};
+  const PreparedPartitionSet ip(std::vector<Partition>{interval.next()});
   const GroupVerdicts iv = engine.run(ip, response);
   showPartition("interval-based partitioning (4 groups):", ip[0], iv,
-                analyzer.analyze(ip, iv), response);
+                analyzer.analyze(ip.partitions(), iv), response);
 
   // One random-selection partition.
   RandomSelectionPartitioner random(RandomSelectionConfig{LfsrConfig{16, 0}, 0xACE1},
                                     topology.maxChainLength(), 4);
-  const std::vector<Partition> rp{random.next()};
+  const PreparedPartitionSet rp(std::vector<Partition>{random.next()});
   const GroupVerdicts rv = engine.run(rp, response);
   showPartition("random-selection partitioning (4 groups):", rp[0], rv,
-                analyzer.analyze(rp, rv), response);
+                analyzer.analyze(rp.partitions(), rv), response);
 
   return 0;
 }

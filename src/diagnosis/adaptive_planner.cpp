@@ -11,6 +11,23 @@ namespace scandiag {
 
 namespace {
 
+// Pool shape and scoring priors: deterministic inputs to pool construction
+// and scoring, so identical verdicts always choose identical schedules.
+
+/// Random-selection seed streams in the pool.
+constexpr std::size_t kSeedStreams = 3;
+/// Interval partitions in the pool (successive covering seeds, the fixed
+/// interval scheme's rule).
+constexpr std::size_t kIntervalCandidates = 2;
+/// Score bonus (bits/session) for interval candidates while no verdict has
+/// been observed yet. The uniform-survivor model cannot see that fault cones
+/// cluster on the chain (the paper's §2.2 argument for step 1), so the blind
+/// first pick gets a thumb on the interval side of the scale.
+constexpr double kIntervalPrior = 0.1;
+/// Assumed failing-position spread before the first observed verdict row
+/// (afterwards the max observed failing-group count takes over).
+constexpr std::size_t kSpreadPrior = 2;
+
 /// Largest power of two <= n (n >= 1). Random selection labels are bit
 /// fields, so every pool group count is normalized to a power of two — the
 /// same shape recommendGroupCount() produces.
@@ -41,16 +58,15 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
         "superposition pruning is incompatible with the adaptive scheme: pruning needs the "
         "XOR-signature algebra of a schedule fixed up front");
   }
-  const AdaptivePoolConfig& opts = config.schemeConfig.adaptive;
   const std::size_t chainLength = topology.maxChainLength();
   SCANDIAG_REQUIRE(chainLength >= 1, "empty selection axis");
 
-  budget_ = opts.sessionBudget != 0 ? opts.sessionBudget
-                                    : config.numPartitions * config.groupsPerPartition;
+  // Equal tester time to the fixed schedule the planner replaces.
+  budget_ = config.numPartitions * config.groupsPerPartition;
   SCANDIAG_REQUIRE(budget_ >= 1, "adaptive session budget must be positive");
 
   std::vector<Partition> candidates;
-  if (opts.forceFixedOrder) {
+  if (config.schemeConfig.adaptive.forceFixedOrder) {
     // Parity mode: the pool *is* the fixed TwoStep schedule, taken in order.
     auto scheme = makeScheme(SchemeKind::TwoStep, config.schemeConfig, chainLength,
                              config.groupsPerPartition);
@@ -61,51 +77,34 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
       kinds_[p] = PoolKind::Interval;
     }
   } else {
-    if (opts.intervalCandidates == 0 && opts.seedPool == 0) {
-      throw std::invalid_argument("adaptive pool is empty: need interval or random candidates");
-    }
-    // Group counts, clamped to the chain and normalized to powers of two
-    // (random-selection labels are bit fields), deduplicated in order.
-    std::vector<std::size_t> groupCounts;
-    const std::vector<std::size_t> requested =
-        opts.groupCandidates.empty() ? std::vector<std::size_t>{config.groupsPerPartition}
-                                     : opts.groupCandidates;
-    std::size_t minGroups = chainLength;
-    for (std::size_t g : requested) {
-      const std::size_t clamped = floorPow2(std::max<std::size_t>(std::min(g, chainLength), 1));
-      if (std::find(groupCounts.begin(), groupCounts.end(), clamped) != groupCounts.end()) {
-        continue;
-      }
-      groupCounts.push_back(clamped);
-      minGroups = std::min(minGroups, clamped);
-    }
+    // One group count: groupsPerPartition, clamped to the chain and
+    // normalized to a power of two (random-selection labels are bit fields).
+    const std::size_t groups =
+        floorPow2(std::max<std::size_t>(std::min(config.groupsPerPartition, chainLength), 1));
     // Enough random candidates per stream that the pool never runs dry before
     // the budget does, whatever the scorer picks.
-    const std::size_t maxSteps = std::max<std::size_t>(budget_ / std::max<std::size_t>(minGroups, 1), 1);
-    for (std::size_t g : groupCounts) {
-      IntervalPartitioner intervals(
-          IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
-                                    config.schemeConfig.intervalStartSeed},
-          chainLength, g);
-      for (std::size_t i = 0; i < opts.intervalCandidates; ++i) {
-        candidates.push_back(intervals.next());
-        kinds_.push_back(PoolKind::Interval);
-      }
-      for (std::size_t k = 0; k < opts.seedPool; ++k) {
-        RandomSelectionPartitioner randoms(
-            RandomSelectionConfig{
-                config.schemeConfig.lfsr,
-                poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
-            chainLength, g);
-        for (std::size_t i = 0; i < maxSteps; ++i) {
-          candidates.push_back(randoms.next());
-          kinds_.push_back(PoolKind::Random);
-        }
+    const std::size_t maxSteps = std::max<std::size_t>(budget_ / groups, 1);
+    IntervalPartitioner intervals(
+        IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
+                                  config.schemeConfig.intervalStartSeed},
+        chainLength, groups);
+    for (std::size_t i = 0; i < kIntervalCandidates; ++i) {
+      candidates.push_back(intervals.next());
+      kinds_.push_back(PoolKind::Interval);
+    }
+    for (std::size_t k = 0; k < kSeedStreams; ++k) {
+      RandomSelectionPartitioner randoms(
+          RandomSelectionConfig{
+              config.schemeConfig.lfsr,
+              poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
+          chainLength, groups);
+      for (std::size_t i = 0; i < maxSteps; ++i) {
+        candidates.push_back(randoms.next());
+        kinds_.push_back(PoolKind::Random);
       }
     }
   }
   pool_ = PreparedPartitionSet(std::move(candidates));
-  SCANDIAG_REQUIRE(pool_.batchReady(), "adaptive pool must have the batch layout");
 }
 
 double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std::uint32_t>& counts,
@@ -143,14 +142,14 @@ double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std:
   if (!observedAnything && kinds_[index] == PoolKind::Interval) {
     // Blind first pick: the uniform model cannot see that fault cones cluster
     // on the chain (paper §2.2) — intervals get the clustering prior.
-    score += config_.schemeConfig.adaptive.intervalPrior;
+    score += kIntervalPrior;
   }
   return score;
 }
 
 AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
                                      const RowObserver& observer) const {
-  const AdaptivePoolConfig& opts = config_.schemeConfig.adaptive;
+  const bool fixedOrder = config_.schemeConfig.adaptive.forceFixedOrder;
   const std::size_t length = topology_->maxChainLength();
   const std::size_t poolSize = pool_.size();
 
@@ -159,14 +158,13 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
   BitVector survivors(length, true);
   std::vector<char> used(poolSize, 0);
   std::vector<std::uint32_t> counts(pool_.totalGroups());
-  const std::size_t spreadPrior = std::clamp<std::size_t>(opts.spreadPrior, 1, 64);
   std::size_t observedSpread = 0;  // max failing-group count seen; 0 = nothing yet
   std::uint64_t pruned = 0;
 
   for (;;) {
     const std::size_t before = survivors.count();
     std::size_t pick = BitVector::npos;
-    if (opts.forceFixedOrder) {
+    if (fixedOrder) {
       // Parity mode: the fixed schedule, in order, while the budget lasts.
       const std::size_t next = out.chosen.size();
       if (next >= poolSize) break;
@@ -174,7 +172,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
       pick = next;
     } else {
       if (before <= 1) break;  // partitions act on positions; nothing left to split
-      // One pass over S scores every candidate: the transposed batch layout
+      // One pass over S scores every candidate: the prepared transposed layout
       // gives each position's group in every pool partition contiguously.
       std::fill(counts.begin(), counts.end(), 0);
       for (std::size_t pos = survivors.findFirst(); pos != BitVector::npos;
@@ -182,7 +180,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
         const std::uint32_t* groups = pool_.groupsAtPosition(pos);
         for (std::size_t j = 0; j < poolSize; ++j) ++counts[groups[j]];
       }
-      const std::size_t spread = observedSpread > 0 ? observedSpread : spreadPrior;
+      const std::size_t spread = observedSpread > 0 ? observedSpread : kSpreadPrior;
       double bestScore = 0.0;
       for (std::size_t i = 0; i < poolSize; ++i) {
         if (used[i]) continue;
@@ -202,11 +200,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
     observedSpread = std::max<std::size_t>(observedSpread, std::max<std::size_t>(row.failing.count(), 1));
 
     const Partition& partition = pool_.partition(pick);
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partition.groupCount(); ++g) {
-      if (row.failing.test(g)) failingUnion |= partition.groups[g];
-    }
-    survivors &= failingUnion;
+    survivors &= partition.unionOf(row.failing);
 
     const std::size_t after = survivors.count();
     pruned += static_cast<std::uint64_t>(before - after);

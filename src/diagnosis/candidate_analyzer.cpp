@@ -43,11 +43,7 @@ CandidateSet CandidateAnalyzer::analyze(const std::vector<Partition>& partitions
   CandidateSet out;
   out.positions = BitVector(length, true);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-    }
-    out.positions &= failingUnion;
+    out.positions &= partitions[p].unionOf(verdicts.failing[p]);
   }
   out.cells = topology_->expandPositions(out.positions);
   return out;
@@ -63,10 +59,7 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
   std::vector<BitVector> unions(partitions.size());
   bool anyFailing = false;
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    unions[p] = BitVector(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) unions[p] |= partitions[p].groups[g];
-    }
+    unions[p] = partitions[p].unionOf(verdicts.failing[p]);
     anyFailing = anyFailing || unions[p].any();
   }
 
@@ -132,10 +125,7 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   UnionAnalysis out;
   out.supersetFloor.positions = BitVector(length);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
-    BitVector failingUnion(length);
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-      if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-    }
+    BitVector failingUnion = partitions[p].unionOf(verdicts.failing[p]);
     if (failingUnion.none()) continue;  // a pass exonerates nothing here
     out.supersetFloor.positions |= failingUnion;
     bool merged = false;

@@ -349,11 +349,7 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
       const GroupVerdicts verdicts = engine_.run(prepared_, r, &scratch);
       BitVector positions(length, true);
       for (std::size_t p = 0; p < prefixes; ++p) {
-        BitVector failingUnion(length);
-        for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-          if (verdicts.failing[p].test(g)) failingUnion |= partitions[p].groups[g];
-        }
-        positions &= failingUnion;
+        positions &= partitions[p].unionOf(verdicts.failing[p]);
         counts.push_back(topology_->expandPositions(positions).count());
       }
     }

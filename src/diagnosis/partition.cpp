@@ -25,6 +25,14 @@ std::vector<std::size_t> Partition::groupTable() const {
   return table;
 }
 
+BitVector Partition::unionOf(const BitVector& failing) const {
+  BitVector u(length());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (failing.test(g)) u |= groups[g];
+  }
+  return u;
+}
+
 void Partition::validate() const {
   SCANDIAG_ASSERT(!groups.empty(), "partition has no groups");
   for (const BitVector& g : groups)

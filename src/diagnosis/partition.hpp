@@ -26,6 +26,10 @@ struct Partition {
   /// Per-position group index table (one pass; use for bulk lookups).
   std::vector<std::size_t> groupTable() const;
 
+  /// Union of the groups whose bit is set in `failing` (failing.test(g):
+  /// session g failed): the positions this partition cannot exonerate.
+  BitVector unionOf(const BitVector& failing) const;
+
   /// Checks disjointness and coverage; throws std::logic_error on violation.
   void validate() const;
 };

@@ -4,7 +4,7 @@
 
 namespace scandiag {
 
-PerChainVerdicts PerChainObservation::run(const std::vector<Partition>& partitions,
+PerChainVerdicts PerChainObservation::run(const PreparedPartitionSet& partitions,
                                           const FaultResponse& response) const {
   const std::size_t W = topology_->numChains();
   const std::size_t L = topology_->maxChainLength();
@@ -19,7 +19,7 @@ PerChainVerdicts PerChainObservation::run(const std::vector<Partition>& partitio
 
   PerChainVerdicts verdicts;
   verdicts.failing.reserve(partitions.size());
-  for (const Partition& partition : partitions) {
+  for (const Partition& partition : partitions.partitions()) {
     SCANDIAG_REQUIRE(partition.length() == L, "partition length does not match topology");
     std::vector<BitVector> perChain(W, BitVector(partition.groupCount()));
     for (std::size_t c = 0; c < W; ++c) {
@@ -43,11 +43,7 @@ CandidateSet PerChainObservation::analyze(const std::vector<Partition>& partitio
   std::vector<BitVector> perChainPositions(W, BitVector(L, true));
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     for (std::size_t c = 0; c < W; ++c) {
-      BitVector failingUnion(L);
-      for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-        if (verdicts.failing[p][c].test(g)) failingUnion |= partitions[p].groups[g];
-      }
-      perChainPositions[c] &= failingUnion;
+      perChainPositions[c] &= partitions[p].unionOf(verdicts.failing[p][c]);
     }
   }
 
@@ -64,9 +60,9 @@ CandidateSet PerChainObservation::analyze(const std::vector<Partition>& partitio
   return out;
 }
 
-CandidateSet PerChainObservation::diagnose(const std::vector<Partition>& partitions,
+CandidateSet PerChainObservation::diagnose(const PreparedPartitionSet& partitions,
                                            const FaultResponse& response) const {
-  return analyze(partitions, run(partitions, response));
+  return analyze(partitions.partitions(), run(partitions, response));
 }
 
 }  // namespace scandiag

@@ -17,7 +17,7 @@
 
 #include "bist/scan_topology.hpp"
 #include "diagnosis/candidate_analyzer.hpp"
-#include "diagnosis/partition.hpp"
+#include "diagnosis/prepared_partitions.hpp"
 #include "sim/fault_simulator.hpp"
 
 namespace scandiag {
@@ -33,7 +33,7 @@ class PerChainObservation {
 
   /// Exact verdicts: (p, c, g) fails iff some cell of chain c at a position
   /// of group g captured an error.
-  PerChainVerdicts run(const std::vector<Partition>& partitions,
+  PerChainVerdicts run(const PreparedPartitionSet& partitions,
                        const FaultResponse& response) const;
 
   /// Inclusion-exclusion at (position, chain) granularity.
@@ -41,7 +41,7 @@ class PerChainObservation {
                        const PerChainVerdicts& verdicts) const;
 
   /// Convenience: run + analyze.
-  CandidateSet diagnose(const std::vector<Partition>& partitions,
+  CandidateSet diagnose(const PreparedPartitionSet& partitions,
                         const FaultResponse& response) const;
 
  private:

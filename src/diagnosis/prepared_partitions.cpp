@@ -8,35 +8,28 @@ namespace scandiag {
 
 PreparedPartitionSet::PreparedPartitionSet(std::vector<Partition> partitions)
     : partitions_(std::move(partitions)) {
-  tables_.reserve(partitions_.size());
-  for (const Partition& p : partitions_) tables_.push_back(p.groupTable());
-
-  groupOffsets_.assign(partitions_.size() + 1, 0);
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
+  const std::size_t count = partitions_.size();
+  groupOffsets_.assign(count + 1, 0);
+  for (std::size_t p = 0; p < count; ++p) {
     groupOffsets_[p + 1] = groupOffsets_[p] + partitions_[p].groupCount();
   }
-  totalGroups_ = groupOffsets_.empty() ? 0 : groupOffsets_.back();
+  if (count == 0) return;
 
-  // Batch layout: only when every partition spans the same selection axis
-  // (the invariant of any schedule a partitioner emits) and global group ids
-  // fit the u32 cells of the transposed table.
-  if (partitions_.empty()) return;
   const std::size_t length = partitions_.front().length();
   for (const Partition& p : partitions_) {
-    if (p.length() != length) return;
+    SCANDIAG_REQUIRE(p.length() == length, "partitions span different selection axes");
   }
-  if (length == 0 || totalGroups_ > std::numeric_limits<std::uint32_t>::max()) return;
+  SCANDIAG_REQUIRE(totalGroups() <= std::numeric_limits<std::uint32_t>::max(),
+                   "global group ids do not fit 32 bits");
 
-  posGroups_.resize(length * partitions_.size());
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const std::vector<std::size_t>& table = tables_[p];
+  posGroups_.resize(length * count);
+  for (std::size_t p = 0; p < count; ++p) {
+    const std::vector<std::size_t> table = partitions_[p].groupTable();
     const std::uint32_t offset = static_cast<std::uint32_t>(groupOffsets_[p]);
     for (std::size_t pos = 0; pos < length; ++pos) {
-      posGroups_[pos * partitions_.size() + p] =
-          offset + static_cast<std::uint32_t>(table[pos]);
+      posGroups_[pos * count + p] = offset + static_cast<std::uint32_t>(table[pos]);
     }
   }
-  batchReady_ = true;
 }
 
 }  // namespace scandiag

@@ -1,26 +1,27 @@
-// Prepared (pre-indexed) partition schedule for the per-fault hot path.
+// Prepared (pre-indexed) partition schedule: the only schedule type the
+// session engine and the superposition pruner score and prune.
 //
-// A diagnosis run applies the same partition sequence to every fault, but the
-// per-position group-index tables the session engine and the superposition
-// pruner need used to be rebuilt per (fault × partition) — pure O(chainLength)
-// allocation and fill on the path that runs 500+ times per DR experiment.
-// PreparedPartitionSet computes every partition's groupTable() exactly once,
-// at construction, and is immutable afterwards: it can be shared read-only
-// across faults and across thread-pool workers with no synchronization
-// (the same ownership rule as the topology and the good-machine data; see
-// docs/ARCHITECTURE.md "Hot-path memory discipline").
+// A diagnosis run applies the same partition sequence to every fault (the
+// paper's BIST controller replays one fixed sequence per device), so the
+// group structure is indexed once, at construction, and is immutable
+// afterwards: it can be shared read-only across faults and across
+// thread-pool workers with no synchronization (the same ownership rule as
+// the topology and the good-machine data; see docs/ARCHITECTURE.md
+// "Hot-path memory discipline").
 //
-// On top of the per-partition tables it builds the *batch layout* the batched
-// MISR scorer (SessionEngine::runBatched, docs/ARCHITECTURE.md §11) keys on:
-// groups of all partitions are numbered globally (groupOffset(p) + g) and a
-// transposed flat table stores, per shift position, the global group id the
-// position belongs to in every partition — contiguously, so scoring a fault
-// is one pass over its failing positions with a unit-stride inner loop over
-// the schedule instead of a per-group membership scan per session.
+// The index is one layout: groups of all partitions are numbered globally
+// (groupOffset(p) + g) and a transposed flat table stores, per shift
+// position, the global group id the position belongs to in every partition —
+// contiguously, so scoring a fault is one pass over its failing positions
+// with a unit-stride inner loop over the schedule instead of a per-group
+// membership scan per session (docs/ARCHITECTURE.md §11).
 //
-// Construction also validates the schedule — groupTable() asserts that the
-// groups of each partition are disjoint and cover every position — so a
-// pipeline holding a PreparedPartitionSet never carries a malformed schedule.
+// Construction validates the schedule: every partition must span the same
+// selection axis and the global group ids must fit the u32 cells of the
+// table (std::invalid_argument otherwise), and the groups of each partition
+// must be disjoint and cover every position (std::logic_error otherwise). A
+// pipeline holding a PreparedPartitionSet never carries a malformed
+// schedule. An empty set is valid and scores to zero rows.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +36,8 @@ class PreparedPartitionSet {
  public:
   PreparedPartitionSet() = default;
 
-  /// Takes ownership of the schedule and builds one group table per
-  /// partition (one O(chainLength) pass each, done once for all faults).
+  /// Takes ownership of the schedule and builds the transposed group table
+  /// (one O(chainLength) pass per partition, done once for all faults).
   explicit PreparedPartitionSet(std::vector<Partition> partitions);
 
   std::size_t size() const { return partitions_.size(); }
@@ -46,38 +47,23 @@ class PreparedPartitionSet {
   const Partition& partition(std::size_t p) const { return partitions_[p]; }
   const Partition& operator[](std::size_t p) const { return partitions_[p]; }
 
-  /// table[pos] = group index containing `pos` in partition `p`; identical to
-  /// partitions()[p].groupTable() but computed once per schedule, not per call.
-  const std::vector<std::size_t>& groupTable(std::size_t p) const { return tables_[p]; }
-
-  // -- Batch layout (global group numbering + transposed position table). ---
-
-  /// True when every partition spans the same selection axis, so the flat
-  /// transposed table below exists. Schedules built by buildPartitions()
-  /// always qualify; a hand-assembled mixed-length schedule falls back to the
-  /// per-session scorer.
-  bool batchReady() const { return batchReady_; }
-
   /// Total sessions of the schedule (sum of groupCount() over partitions).
-  std::size_t totalGroups() const { return totalGroups_; }
+  std::size_t totalGroups() const { return groupOffsets_.back(); }
 
   /// First global group id of partition `p`; global id = groupOffset(p) + g.
   std::size_t groupOffset(std::size_t p) const { return groupOffsets_[p]; }
 
   /// The `size()` global group ids position `pos` belongs to, one per
-  /// partition, contiguous (transposed layout: one cache-friendly read per
-  /// failing position covers the whole schedule). Valid iff batchReady().
+  /// partition, contiguous (one cache-friendly read per failing position
+  /// covers the whole schedule).
   const std::uint32_t* groupsAtPosition(std::size_t pos) const {
     return posGroups_.data() + pos * partitions_.size();
   }
 
  private:
   std::vector<Partition> partitions_;
-  std::vector<std::vector<std::size_t>> tables_;  // [partition][position]
-  bool batchReady_ = false;
-  std::size_t totalGroups_ = 0;
-  std::vector<std::size_t> groupOffsets_;  // [partition + 1]
-  std::vector<std::uint32_t> posGroups_;   // [position * size() + partition]
+  std::vector<std::size_t> groupOffsets_{0};  // [partition + 1]
+  std::vector<std::uint32_t> posGroups_;      // [position * size() + partition]
 };
 
 }  // namespace scandiag

@@ -148,11 +148,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     std::vector<BitVector> unions;
     unions.reserve(finalAnalysis.usedPartitions.size());
     for (const std::size_t p : finalAnalysis.usedPartitions) {
-      BitVector u(length);
-      for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
-        if (repaired.failing[p].test(g)) u |= partitions[p].groups[g];
-      }
-      unions.push_back(std::move(u));
+      unions.push_back(partitions[p].unionOf(repaired.failing[p]));
     }
     BitVector widened(length);
     for (std::size_t skip = 0; skip < unions.size(); ++skip) {

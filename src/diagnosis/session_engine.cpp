@@ -98,8 +98,7 @@ PartitionVerdictRow SessionEngine::computeRow(const Partition& partition,
                                               const BitVector& failingPositions,
                                               const std::vector<std::size_t>& cellPos,
                                               const std::vector<std::uint64_t>& cellSig,
-                                              bool needSignatures,
-                                              const std::vector<std::size_t>* groupTable) const {
+                                              bool needSignatures) const {
   SCANDIAG_REQUIRE(partition.length() == topology_->maxChainLength(),
                    "partition length does not match topology");
   const std::size_t b = partition.groupCount();
@@ -107,12 +106,9 @@ PartitionVerdictRow SessionEngine::computeRow(const Partition& partition,
   row.failing = BitVector(b);
   std::vector<std::uint64_t> sig(b, 0);
   if (needSignatures) {
-    // Prepared callers pass the table computed once per schedule; the
-    // fallback rebuilds it (an O(chainLength) pass) for this call only.
-    const std::vector<std::size_t> rebuilt =
-        groupTable == nullptr ? partition.groupTable() : std::vector<std::size_t>{};
-    const std::vector<std::size_t>& table = groupTable ? *groupTable : rebuilt;
-    for (std::size_t i = 0; i < cellPos.size(); ++i) sig[table[cellPos[i]]] ^= cellSig[i];
+    for (std::size_t i = 0; i < cellPos.size(); ++i) {
+      sig[partition.groupOf(cellPos[i])] ^= cellSig[i];
+    }
   }
   for (std::size_t g = 0; g < b; ++g) {
     const bool exactFail = partition.groups[g].intersects(failingPositions);
@@ -160,9 +156,8 @@ void SessionEngine::prepareCells(const FaultResponse& response, bool needSignatu
   if (hashedWords > 0) obs::count(obs::Counter::SignatureWordsHashed, hashedWords);
 }
 
-GroupVerdicts SessionEngine::runImpl(const std::vector<Partition>& partitions,
-                                     const PreparedPartitionSet* prepared,
-                                     const FaultResponse& response) const {
+GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
+                                          const FaultResponse& response) const {
   // Counters only — no PhaseScope: this is the per-fault hot path of the
   // batch DR drivers, and two steady_clock reads per call cost several
   // percent of a whole diagnosis. Phase timing for session work happens at
@@ -178,36 +173,32 @@ GroupVerdicts SessionEngine::runImpl(const std::vector<Partition>& partitions,
   prepareCells(response, needSignatures, failingPositions, cellPos, cellSig, nullptr);
 
   GroupVerdicts verdicts;
-  verdicts.failing.reserve(partitions.size());
+  verdicts.failing.reserve(prepared.size());
   if (needSignatures) {
     verdicts.hasSignatures = true;
     verdicts.signatureDegree =
         config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
-    verdicts.errorSig.reserve(partitions.size());
+    verdicts.errorSig.reserve(prepared.size());
   }
 
-  std::uint64_t sessions = 0;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    const Partition& partition = partitions[p];
-    sessions += partition.groupCount();
-    PartitionVerdictRow row = computeRow(partition, failingPositions, cellPos, cellSig,
-                                         needSignatures,
-                                         prepared ? &prepared->groupTable(p) : nullptr);
+  for (const Partition& partition : prepared.partitions()) {
+    PartitionVerdictRow row =
+        computeRow(partition, failingPositions, cellPos, cellSig, needSignatures);
     verdicts.failing.push_back(std::move(row.failing));
     if (needSignatures) verdicts.errorSig.push_back(std::move(row.errorSig));
   }
-  obs::count(obs::Counter::PartitionsEvaluated, partitions.size());
-  obs::count(obs::Counter::SessionsRun, sessions);
+  obs::count(obs::Counter::PartitionsEvaluated, prepared.size());
+  obs::count(obs::Counter::SessionsRun, prepared.totalGroups());
   return verdicts;
 }
 
 GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
                                         const FaultResponse& response,
                                         SessionBatchScratch* scratch) const {
-  SCANDIAG_REQUIRE(prepared.batchReady(), "batched scorer needs the batch layout");
-  SCANDIAG_REQUIRE(prepared.partition(0).length() == topology_->maxChainLength(),
+  SCANDIAG_REQUIRE(prepared.empty() ||
+                       prepared.partition(0).length() == topology_->maxChainLength(),
                    "partition length does not match topology");
-  // Same no-PhaseScope rule as runImpl: per-fault hot path.
+  // Same no-PhaseScope rule as runReference: per-fault hot path.
   const bool needSignatures =
       config_.mode == SignatureMode::Misr || config_.computeSignatures;
   const std::size_t numPartitions = prepared.size();
@@ -319,7 +310,7 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
     }
   }
 
-  // PartitionsEvaluated / SessionsRun deltas match runImpl exactly (the
+  // PartitionsEvaluated / SessionsRun deltas match runReference exactly (the
   // counter-parity contract); the two batch counters tally batched-only work.
   obs::count(obs::Counter::PartitionsEvaluated, numPartitions);
   obs::count(obs::Counter::SessionsRun, total);
@@ -331,25 +322,14 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
 GroupVerdicts SessionEngine::run(const PreparedPartitionSet& prepared,
                                  const FaultResponse& response,
                                  SessionBatchScratch* scratch) const {
-  if (config_.scorer == SessionScorer::Batched && prepared.batchReady()) {
-    return runBatched(prepared, response, scratch);
-  }
-  return runImpl(prepared.partitions(), &prepared, response);
+  if (config_.scorer == SessionScorer::Batched) return runBatched(prepared, response, scratch);
+  return runReference(prepared, response);
 }
 
-GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
-                                          const FaultResponse& response) const {
-  return runImpl(prepared.partitions(), &prepared, response);
-}
-
-GroupVerdicts SessionEngine::run(const std::vector<Partition>& partitions,
-                                 const FaultResponse& response) const {
-  return runImpl(partitions, nullptr, response);
-}
-
-PartitionVerdictRow SessionEngine::runPartitionImpl(
-    const Partition& partition, const std::vector<std::size_t>* groupTable,
-    const FaultResponse& response) const {
+PartitionVerdictRow SessionEngine::runPartition(const PreparedPartitionSet& prepared,
+                                                std::size_t index,
+                                                const FaultResponse& response) const {
+  const Partition& partition = prepared.partition(index);
   obs::PhaseScope phase(obs::Phase::SignatureCompare);
   obs::count(obs::Counter::PartitionsEvaluated);
   obs::count(obs::Counter::SessionsRun, partition.groupCount());
@@ -359,18 +339,7 @@ PartitionVerdictRow SessionEngine::runPartitionImpl(
   std::vector<std::size_t> cellPos;
   std::vector<std::uint64_t> cellSig;
   prepareCells(response, needSignatures, failingPositions, cellPos, cellSig, nullptr);
-  return computeRow(partition, failingPositions, cellPos, cellSig, needSignatures, groupTable);
-}
-
-PartitionVerdictRow SessionEngine::runPartition(const Partition& partition,
-                                                const FaultResponse& response) const {
-  return runPartitionImpl(partition, nullptr, response);
-}
-
-PartitionVerdictRow SessionEngine::runPartition(const PreparedPartitionSet& prepared,
-                                                std::size_t index,
-                                                const FaultResponse& response) const {
-  return runPartitionImpl(prepared.partition(index), &prepared.groupTable(index), response);
+  return computeRow(partition, failingPositions, cellPos, cellSig, needSignatures);
 }
 
 }  // namespace scandiag

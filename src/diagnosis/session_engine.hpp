@@ -28,11 +28,12 @@
 //    XOR (or one bit-set) per (cell, partition). No per-group membership scan
 //    ever runs. See docs/ARCHITECTURE.md §11.
 //  * **PerSession** (reference): the literal one-session-at-a-time evaluation
-//    (per-group intersects / per-partition signature bucketing). Kept as the
-//    parity oracle — tests/diagnosis/batched_parity_test holds the two
-//    bit-identical across schemes, circuits, thread counts, pruning, and
-//    noise — and as the fallback for bare (unprepared) schedules and the
-//    per-partition retry path of the recovery layer.
+//    (per-group intersects / per-partition signature bucketing, each cell's
+//    group found through Partition::groupOf, never through the prepared
+//    table it checks). Kept as the parity oracle — tests/diagnosis/
+//    batched_parity_test holds the two bit-identical across schemes,
+//    circuits, thread counts, pruning, and noise — and as the per-partition
+//    path (runPartition) of the adaptive planner and the recovery layer.
 #pragma once
 
 #include <cstdint>
@@ -56,7 +57,7 @@ enum class SignatureMode {
 
 enum class SessionScorer {
   Batched,     // one-pass scoring over the prepared schedule (hot path)
-  PerSession,  // per-group reference evaluation (parity oracle / fallback)
+  PerSession,  // per-group reference evaluation (parity oracle)
 };
 
 struct SessionConfig {
@@ -114,37 +115,27 @@ class SessionEngine {
   const ScanTopology& topology() const { return *topology_; }
   const SessionConfig& config() const { return config_; }
 
-  /// Hot-path entry point: dispatches to the batched scorer (default) or the
-  /// per-session reference per config().scorer; a prepared set without the
-  /// batch layout (batchReady() == false) also falls back to the reference.
-  /// Both scorers are bit-identical. `scratch` (optional) reuses buffers
-  /// across calls on the batched path.
+  /// Scores every partition of the schedule (one verdict row each; an empty
+  /// schedule gives zero rows): the batched scorer, or the per-session
+  /// reference when config().scorer == PerSession. Both are bit-identical.
+  /// `scratch` (optional) reuses buffers across calls on the batched path.
   GroupVerdicts run(const PreparedPartitionSet& prepared, const FaultResponse& response,
                     SessionBatchScratch* scratch = nullptr) const;
 
-  /// One-pass batched scorer (requires prepared.batchReady()).
+  /// One-pass batched scorer over the prepared group layout.
   GroupVerdicts runBatched(const PreparedPartitionSet& prepared, const FaultResponse& response,
                            SessionBatchScratch* scratch = nullptr) const;
 
-  /// Per-session reference scorer over a prepared schedule — the parity
-  /// oracle runBatched() is tested against, regardless of config().scorer.
+  /// Per-session reference scorer — the parity oracle runBatched() is tested
+  /// against, regardless of config().scorer.
   GroupVerdicts runReference(const PreparedPartitionSet& prepared,
                              const FaultResponse& response) const;
 
-  /// Convenience overload for callers holding a bare schedule (tests, one-off
-  /// diagnoses): rebuilds each partition's group table per call. Always the
-  /// per-session reference.
-  GroupVerdicts run(const std::vector<Partition>& partitions,
-                    const FaultResponse& response) const;
-
-  /// Re-runs the sessions of one partition (same patterns, same capture data
-  /// — on a noiseless tester this reproduces run()'s row for that partition
-  /// bit-for-bit). This is the unit the recovery layer re-executes when a
-  /// session verdict is suspect; always the per-session reference path.
-  PartitionVerdictRow runPartition(const Partition& partition,
-                                   const FaultResponse& response) const;
-
-  /// Prepared-schedule runPartition: same row, no group-table rebuild.
+  /// Re-runs the sessions of partition `index` (same patterns, same capture
+  /// data — on a noiseless tester this reproduces run()'s row for that
+  /// partition bit-for-bit). This is the unit the adaptive planner runs per
+  /// step and the recovery layer re-executes when a session verdict is
+  /// suspect; always the per-session reference path.
   PartitionVerdictRow runPartition(const PreparedPartitionSet& prepared, std::size_t index,
                                    const FaultResponse& response) const;
 
@@ -165,18 +156,10 @@ class SessionEngine {
                     BitVector& failingPositions, std::vector<std::size_t>& cellPos,
                     std::vector<std::uint64_t>& cellSig,
                     const std::uint64_t* contribTable) const;
-  /// `groupTable` may be null: signature bucketing then rebuilds the table
-  /// from the partition (the non-prepared fallback path).
   PartitionVerdictRow computeRow(const Partition& partition, const BitVector& failingPositions,
                                  const std::vector<std::size_t>& cellPos,
-                                 const std::vector<std::uint64_t>& cellSig, bool needSignatures,
-                                 const std::vector<std::size_t>* groupTable) const;
-  GroupVerdicts runImpl(const std::vector<Partition>& partitions,
-                        const PreparedPartitionSet* prepared,
-                        const FaultResponse& response) const;
-  PartitionVerdictRow runPartitionImpl(const Partition& partition,
-                                       const std::vector<std::size_t>* groupTable,
-                                       const FaultResponse& response) const;
+                                 const std::vector<std::uint64_t>& cellSig,
+                                 bool needSignatures) const;
 
   const ScanTopology* topology_;
   SessionConfig config_;

@@ -6,39 +6,33 @@
 #include "common/gf2.hpp"
 
 namespace scandiag {
-namespace {
 
-/// Shared pruning engine; `groupOf(p, pos)` resolves a position's group index
-/// in partition p. The three call sites differ only in where that membership
-/// lookup comes from (rebuilt table / prepared table / transposed batch
-/// layout), so the GF(2) machinery is written once against the accessor.
-template <typename GroupOf>
-CandidateSet pruneWith(const ScanTopology& topology, const std::vector<Partition>& partitions,
-                       GroupOf&& groupOf, const GroupVerdicts& verdicts,
-                       const CandidateSet& candidates, PruneStats* stats) {
+CandidateSet SuperpositionPruner::prune(const PreparedPartitionSet& prepared,
+                                        const GroupVerdicts& verdicts,
+                                        const CandidateSet& candidates,
+                                        PruneStats* stats) const {
   SCANDIAG_REQUIRE(verdicts.hasSignatures,
                    "superposition pruning needs error signatures (set computeSignatures)");
-  SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
+  SCANDIAG_REQUIRE(prepared.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
   PruneStats local;
-  if (candidates.positions.none() || partitions.empty()) {
+  if (candidates.positions.none() || prepared.empty()) {
     if (stats) *stats = local;
     return candidates;
   }
 
-  // Atoms: candidate positions keyed by their membership vector.
+  // Atoms: candidate positions keyed by their membership vector — the
+  // position's global group ids, one contiguous read of the prepared layout.
+  const std::size_t numPartitions = prepared.size();
   const std::vector<std::size_t> candPositions = candidates.positions.toIndices();
-  std::map<std::vector<std::size_t>, std::size_t> atomIndex;
+  std::map<std::vector<std::uint32_t>, std::size_t> atomIndex;
   std::vector<std::vector<std::size_t>> atomPositions;
-  std::vector<std::size_t> atomOfPos(candPositions.size());
-  std::vector<std::size_t> key(partitions.size());
-  for (std::size_t i = 0; i < candPositions.size(); ++i) {
-    const std::size_t pos = candPositions[i];
-    for (std::size_t p = 0; p < partitions.size(); ++p) key[p] = groupOf(p, pos);
-    const auto [it, inserted] = atomIndex.emplace(key, atomPositions.size());
+  for (const std::size_t pos : candPositions) {
+    const std::uint32_t* groups = prepared.groupsAtPosition(pos);
+    const auto [it, inserted] = atomIndex.emplace(
+        std::vector<std::uint32_t>(groups, groups + numPartitions), atomPositions.size());
     if (inserted) atomPositions.emplace_back();
     atomPositions[it->second].push_back(pos);
-    atomOfPos[i] = it->second;
   }
   const std::size_t numAtoms = atomPositions.size();
   local.atoms = numAtoms;
@@ -48,13 +42,14 @@ CandidateSet pruneWith(const ScanTopology& topology, const std::vector<Partition
   // positions, hence no atoms — their equations would be 0 = 0.)
   const unsigned degree = verdicts.signatureDegree;
   Gf2System system(numAtoms, degree);
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
+  for (std::size_t p = 0; p < numPartitions; ++p) {
+    const std::size_t offset = prepared.groupOffset(p);
+    for (std::size_t g = 0; g < prepared.partition(p).groupCount(); ++g) {
       if (!verdicts.failing[p].test(g)) continue;
       BitVector coeffs(numAtoms);
       for (std::size_t a = 0; a < numAtoms; ++a) {
         // Atom membership is uniform across its positions; test the first.
-        if (groupOf(p, atomPositions[a].front()) == g) coeffs.set(a);
+        if (prepared.groupsAtPosition(atomPositions[a].front())[p] == offset + g) coeffs.set(a);
       }
       BitVector rhs(degree);
       const std::uint64_t sig = verdicts.errorSig[p][g];
@@ -81,46 +76,9 @@ CandidateSet pruneWith(const ScanTopology& topology, const std::vector<Partition
       ++local.prunedPositions;
     }
   }
-  pruned.cells = topology.expandPositions(pruned.positions);
+  pruned.cells = topology_->expandPositions(pruned.positions);
   if (stats) *stats = local;
   return pruned;
-}
-
-}  // namespace
-
-CandidateSet SuperpositionPruner::prune(const std::vector<Partition>& partitions,
-                                        const GroupVerdicts& verdicts,
-                                        const CandidateSet& candidates,
-                                        PruneStats* stats) const {
-  // Group-membership table per partition, rebuilt for this call only.
-  std::vector<std::vector<std::size_t>> tables;
-  tables.reserve(partitions.size());
-  for (const Partition& p : partitions) tables.push_back(p.groupTable());
-  return pruneWith(
-      *topology_, partitions,
-      [&](std::size_t p, std::size_t pos) { return tables[p][pos]; }, verdicts, candidates,
-      stats);
-}
-
-CandidateSet SuperpositionPruner::prune(const PreparedPartitionSet& prepared,
-                                        const GroupVerdicts& verdicts,
-                                        const CandidateSet& candidates,
-                                        PruneStats* stats) const {
-  if (prepared.batchReady()) {
-    // Transposed batch layout: a position's whole membership vector is one
-    // contiguous read; global ids translate back with the partition offset.
-    return pruneWith(
-        *topology_, prepared.partitions(),
-        [&](std::size_t p, std::size_t pos) {
-          return static_cast<std::size_t>(prepared.groupsAtPosition(pos)[p]) -
-                 prepared.groupOffset(p);
-        },
-        verdicts, candidates, stats);
-  }
-  return pruneWith(
-      *topology_, prepared.partitions(),
-      [&](std::size_t p, std::size_t pos) { return prepared.groupTable(p)[pos]; }, verdicts,
-      candidates, stats);
 }
 
 }  // namespace scandiag

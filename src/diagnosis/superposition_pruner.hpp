@@ -20,7 +20,6 @@
 
 #include "bist/scan_topology.hpp"
 #include "diagnosis/candidate_analyzer.hpp"
-#include "diagnosis/partition.hpp"
 #include "diagnosis/prepared_partitions.hpp"
 #include "diagnosis/session_engine.hpp"
 
@@ -38,17 +37,10 @@ class SuperpositionPruner {
   explicit SuperpositionPruner(const ScanTopology& topology) : topology_(&topology) {}
 
   /// Tightens `candidates` using the verdicts' error signatures (which must
-  /// be present: SessionConfig::computeSignatures or MISR mode). Returns the
+  /// be present: SessionConfig::computeSignatures or MISR mode). Group
+  /// membership comes from the prepared schedule's transposed layout (built
+  /// once per pipeline), so a call does no per-fault setup. Returns the
   /// pruned candidate set; `stats`, if non-null, receives diagnostics.
-  /// Rebuilds each partition's group table per call — hot paths should use
-  /// the PreparedPartitionSet overload.
-  CandidateSet prune(const std::vector<Partition>& partitions, const GroupVerdicts& verdicts,
-                     const CandidateSet& candidates, PruneStats* stats = nullptr) const;
-
-  /// Hot-path overload: group membership comes from the prepared schedule
-  /// (built once per pipeline) — the transposed batch layout when available,
-  /// per-partition tables otherwise — with no per-fault setup at all. Output
-  /// is bit-identical to the std::vector<Partition> overload.
   CandidateSet prune(const PreparedPartitionSet& prepared, const GroupVerdicts& verdicts,
                      const CandidateSet& candidates, PruneStats* stats = nullptr) const;
 

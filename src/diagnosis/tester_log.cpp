@@ -127,13 +127,12 @@ CandidateSet diagnoseFromLog(const ScanTopology& topology, const DiagnosisConfig
   SCANDIAG_REQUIRE(log.numPartitions == config.numPartitions &&
                        log.groupsPerPartition == config.groupsPerPartition,
                    "log session shape does not match the diagnosis configuration");
-  const std::vector<Partition> partitions =
-      buildPartitions(config, topology.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, topology.maxChainLength()));
   const CandidateAnalyzer analyzer(topology);
-  CandidateSet candidates = analyzer.analyze(partitions, log.verdicts);
+  CandidateSet candidates = analyzer.analyze(prepared.partitions(), log.verdicts);
   if (config.pruning && log.verdicts.hasSignatures) {
     const SuperpositionPruner pruner(topology);
-    candidates = pruner.prune(partitions, log.verdicts, candidates);
+    candidates = pruner.prune(prepared, log.verdicts, candidates);
   }
   return candidates;
 }

@@ -19,11 +19,26 @@ DiagnoseReply errorReply(DiagnoseReply reply, std::string message) {
   return reply;
 }
 
+/// The service scores one partition at a time, so a deadline can cut the
+/// schedule short. That needs a schedule fixed up front (the adaptive planner
+/// picks partitions per fault) and no pruning (which reads the signatures of
+/// the whole schedule at once).
+const ServiceConfig& checkedConfig(const ServiceConfig& config) {
+  if (config.diagnosis.scheme == SchemeKind::Adaptive) {
+    throw std::invalid_argument(
+        "serve needs a fixed partition schedule; the adaptive scheme is not supported");
+  }
+  if (config.diagnosis.pruning) {
+    throw std::invalid_argument("serve does not support superposition pruning");
+  }
+  return config;
+}
+
 }  // namespace
 
 DiagnosisService::DiagnosisService(Netlist netlist, const ServiceConfig& config)
     : netlist_(std::move(netlist)),
-      config_(config),
+      config_(checkedConfig(config)),
       topology_(ScanTopology::blockChains(netlist_.dffs().size(),
                                          std::max<std::size_t>(config.numChains, 1))),
       patterns_(generatePatterns(netlist_, config.diagnosis.numPatterns, PrpgConfig{})),

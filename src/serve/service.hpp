@@ -47,6 +47,8 @@ struct ServiceConfig {
 
 class DiagnosisService {
  public:
+  /// Throws std::invalid_argument for the adaptive scheme or pruning: the
+  /// per-partition loop below honours neither.
   DiagnosisService(Netlist netlist, const ServiceConfig& config);
 
   const Netlist& netlist() const { return netlist_; }

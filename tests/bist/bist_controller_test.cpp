@@ -92,7 +92,7 @@ TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
   // tiny chains like s27's 3 cells).
   const std::size_t groups = std::min<std::size_t>(4, s.topo.maxChainLength());
   IntervalPartitioner gen(IntervalPartitionerConfig{}, s.topo.maxChainLength(), groups);
-  const std::vector<Partition> partitions{gen.next()};
+  const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(s.nl, s.patterns);
   const auto faults = FaultList::enumerateCollapsed(s.nl).sample(25, 0xC7A1);
@@ -101,7 +101,7 @@ TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
     const FaultResponse resp = fsim.simulate(fault);
     if (!resp.detected()) continue;
     ++checked;
-    const GroupVerdicts verdicts = engine.run(partitions, resp);
+    const GroupVerdicts verdicts = engine.runReference(partitions, resp);
     for (std::size_t g = 0; g < partitions[0].groupCount(); ++g) {
       const std::uint64_t physical =
           ctrl.sessionErrorSignature(s.patterns, partitions[0].groups[g], fault);
@@ -127,7 +127,7 @@ TEST(BistController, WorksWithStumpsParallelPatterns) {
   SessionConfig sessionConfig{SignatureMode::Misr, 8};
   const SessionEngine engine(s.topo, sessionConfig);
   IntervalPartitioner gen(IntervalPartitionerConfig{}, s.topo.maxChainLength(), 3);
-  const std::vector<Partition> partitions{gen.next()};
+  const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(s.nl, stumps);
   std::size_t checked = 0;
@@ -135,7 +135,7 @@ TEST(BistController, WorksWithStumpsParallelPatterns) {
     const FaultResponse resp = fsim.simulate(fault);
     if (!resp.detected()) continue;
     ++checked;
-    const GroupVerdicts verdicts = engine.run(partitions, resp);
+    const GroupVerdicts verdicts = engine.runReference(partitions, resp);
     for (std::size_t g = 0; g < partitions[0].groupCount(); ++g) {
       EXPECT_EQ(ctrl.sessionErrorSignature(stumps, partitions[0].groups[g], fault),
                 verdicts.errorSig[0][g]);

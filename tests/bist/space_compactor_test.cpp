@@ -71,7 +71,7 @@ TEST(SpaceCompactor, ControllerMatchesAnalyticEngineThroughCompactor) {
   const SessionEngine engine(topo, sc);
 
   IntervalPartitioner gen(IntervalPartitionerConfig{}, topo.maxChainLength(), 3);
-  const std::vector<Partition> partitions{gen.next()};
+  const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(nl, pats);
   std::size_t checked = 0;
@@ -79,7 +79,7 @@ TEST(SpaceCompactor, ControllerMatchesAnalyticEngineThroughCompactor) {
     const FaultResponse resp = fsim.simulate(fault);
     if (!resp.detected()) continue;
     ++checked;
-    const GroupVerdicts verdicts = engine.run(partitions, resp);
+    const GroupVerdicts verdicts = engine.runReference(partitions, resp);
     for (std::size_t g = 0; g < partitions[0].groupCount(); ++g) {
       EXPECT_EQ(ctrl.sessionErrorSignature(pats, partitions[0].groups[g], fault),
                 verdicts.errorSig[0][g])
@@ -108,8 +108,9 @@ TEST(SpaceCompactor, CompactionCanAliasSimultaneousErrors) {
     stream.set(2);
     r.errorStreams.push_back(stream);
   }
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({4}, 4)};
-  const GroupVerdicts v = engine.run(parts, r);
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({4}, 4)});
+  const GroupVerdicts v = engine.runReference(parts, r);
   EXPECT_EQ(v.errorSig[0][0], 0u);       // perfect cancellation
   EXPECT_FALSE(v.failing[0].test(0));    // ...which hides the failure entirely
 }

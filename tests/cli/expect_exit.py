@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Runs one command and checks its exit code, stderr, and an output file.
+"""Runs one command and checks its exit code, stdout, stderr, and an output file.
 
     expect_exit.py --exit 2 --stderr "unknown option" -- scandiag dr s953 --jsno
+    expect_exit.py --exit 0 --stdout "DR = 8.1080" -- scandiag dr s953 ...
     expect_exit.py --exit 8 --creates m.json -- scandiag dr s953 --defects 2 ...
 
 --creates PATH removes PATH before the run and requires it to exist after,
@@ -37,6 +38,7 @@ def metrics_file_problems(path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--exit", type=int, required=True, help="expected exit code")
+    parser.add_argument("--stdout", default="", help="text stdout must contain")
     parser.add_argument("--stderr", default="", help="text stderr must contain")
     parser.add_argument("--creates", default="", help="metrics file the command must write")
     parser.add_argument("command", nargs=argparse.REMAINDER)
@@ -45,10 +47,12 @@ def main():
     if opts.creates and os.path.exists(opts.creates):
         os.remove(opts.creates)
 
-    proc = subprocess.run(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    proc = subprocess.run(command, capture_output=True, text=True)
     problems = []
     if proc.returncode != opts.exit:
         problems.append(f"exit {proc.returncode}, expected {opts.exit}")
+    if opts.stdout not in proc.stdout:
+        problems.append(f"stdout lacks {opts.stdout!r}")
     if opts.stderr not in proc.stderr:
         problems.append(f"stderr lacks {opts.stderr!r}")
     if opts.creates:
@@ -56,7 +60,7 @@ def main():
     for problem in problems:
         print(f"FAIL {' '.join(command)}: {problem}")
     if problems:
-        print(f"stderr:\n{proc.stderr}")
+        print(f"stdout:\n{proc.stdout}\nstderr:\n{proc.stderr}")
     return 1 if problems else 0
 
 

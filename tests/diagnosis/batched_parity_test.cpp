@@ -112,7 +112,6 @@ TEST_F(BatchedParity, VerdictsSignaturesAndCountersMatchPerFault) {
         const DiagnosisPipeline pipeline(
             work.topology,
             configFor(scheme, /*pruning=*/mode == SignatureMode::Exact, true, mode));
-        ASSERT_TRUE(pipeline.prepared().batchReady());
         const SessionEngine& engine = pipeline.engine();
         std::size_t checked = 0;
         for (const FaultResponse& r : work.responses) {

@@ -32,7 +32,7 @@ TEST(CandidateAnalyzer, SinglePartitionKeepsFailingGroups) {
   const CandidateAnalyzer analyzer(topo);
   const std::vector<Partition> parts{IntervalPartitioner::fromLengths({4, 4, 4}, 12)};
   const FaultResponse r = makeResponse(12, {5});
-  const CandidateSet c = analyzer.analyze(parts, engine.run(parts, r));
+  const CandidateSet c = analyzer.analyze(parts, engine.run(PreparedPartitionSet(parts), r));
   EXPECT_EQ(c.cells.toIndices(), (std::vector<std::size_t>{4, 5, 6, 7}));
 }
 
@@ -45,7 +45,7 @@ TEST(CandidateAnalyzer, IntersectionAcrossPartitions) {
   const std::vector<Partition> parts{IntervalPartitioner::fromLengths({4, 4, 4}, 12),
                                      IntervalPartitioner::fromLengths({6, 6}, 12)};
   const FaultResponse r = makeResponse(12, {5});
-  const CandidateSet c = analyzer.analyze(parts, engine.run(parts, r));
+  const CandidateSet c = analyzer.analyze(parts, engine.run(PreparedPartitionSet(parts), r));
   EXPECT_EQ(c.cells.toIndices(), (std::vector<std::size_t>{4, 5}));
 }
 
@@ -55,7 +55,7 @@ TEST(CandidateAnalyzer, MultiChainExpandsAcrossChains) {
   const CandidateAnalyzer analyzer(topo);
   const std::vector<Partition> parts{IntervalPartitioner::fromLengths({2, 2}, 4)};
   const FaultResponse r = makeResponse(8, {1});  // chain 0, position 1
-  const CandidateSet c = analyzer.analyze(parts, engine.run(parts, r));
+  const CandidateSet c = analyzer.analyze(parts, engine.run(PreparedPartitionSet(parts), r));
   // Positions 0-1 suspect -> cells 0,1 (chain 0) and 4,5 (chain 1).
   EXPECT_EQ(c.cells.toIndices(), (std::vector<std::size_t>{0, 1, 4, 5}));
 }

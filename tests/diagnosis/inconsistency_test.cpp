@@ -38,7 +38,7 @@ struct Fixture {
 
 TEST(AnalyzeChecked, CleanVerdictsMatchAnalyze) {
   Fixture f;
-  const GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  const GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
   EXPECT_TRUE(checked.consistent());
   EXPECT_EQ(checked.candidates.cells.toIndices(),
@@ -48,7 +48,7 @@ TEST(AnalyzeChecked, CleanVerdictsMatchAnalyze) {
 
 TEST(AnalyzeChecked, AllPassingScheduleIsConsistentlyEmpty) {
   Fixture f;
-  GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   for (BitVector& row : verdicts.failing) row.resetAll();
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
   EXPECT_TRUE(checked.consistent());
@@ -57,7 +57,7 @@ TEST(AnalyzeChecked, AllPassingScheduleIsConsistentlyEmpty) {
 
 TEST(AnalyzeChecked, LostFailVerdictFlagsAllGroupsPassing) {
   Fixture f;
-  GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   verdicts.failing[1].reset(0);  // B's only failing group reads pass
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
   ASSERT_EQ(checked.inconsistencies.size(), 1u);
@@ -70,7 +70,7 @@ TEST(AnalyzeChecked, LostFailVerdictFlagsAllGroupsPassing) {
 
 TEST(AnalyzeChecked, SpuriousFailFlagsPhantomGroup) {
   Fixture f;
-  GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   verdicts.failing[0].set(2);  // pass->fail on A group 2 [8..11], disjoint from {4,5}
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
   ASSERT_EQ(checked.inconsistencies.size(), 1u);
@@ -86,7 +86,7 @@ TEST(AnalyzeChecked, DisjointUnionIsSkippedNotIntersected) {
   // to the unrelated group [0,1] — its union is now disjoint from {4..7}.
   Fixture f;
   f.parts.push_back(IntervalPartitioner::fromLengths({2, 2, 2, 2, 2, 2}, 12));
-  GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   verdicts.failing[2].reset(2);
   verdicts.failing[2].set(0);
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
@@ -100,7 +100,7 @@ TEST(AnalyzeChecked, DisjointUnionIsSkippedNotIntersected) {
 
 TEST(AnalyzeChecked, ReportsDescribeThemselves) {
   Fixture f;
-  GroupVerdicts verdicts = f.engine.run(f.parts, f.response);
+  GroupVerdicts verdicts = f.engine.run(PreparedPartitionSet(f.parts), f.response);
   verdicts.failing[1].reset(0);
   const CheckedAnalysis checked = f.analyzer.analyzeChecked(f.parts, verdicts);
   ASSERT_FALSE(checked.inconsistencies.empty());
@@ -124,12 +124,13 @@ TEST(AnalyzeChecked, SingleFlipAnywhereKeepsTrueCell) {
     config.numPartitions = 4;
     config.groupsPerPartition = 4;
     config.numPatterns = 4;
-    const std::vector<Partition> parts = buildPartitions(config, topo.maxChainLength());
+    const PreparedPartitionSet prepared(buildPartitions(config, topo.maxChainLength()));
+    const std::vector<Partition>& parts = prepared.partitions();
     const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 4});
     const CandidateAnalyzer analyzer(topo);
     for (const std::size_t cell : {std::size_t{0}, std::size_t{11}, std::size_t{23}}) {
       const FaultResponse response = makeResponse(24, {cell});
-      const GroupVerdicts clean = engine.run(parts, response);
+      const GroupVerdicts clean = engine.run(prepared, response);
       for (std::size_t p = 0; p < parts.size(); ++p) {
         for (std::size_t g = 0; g < parts[p].groupCount(); ++g) {
           GroupVerdicts noisy = clean;

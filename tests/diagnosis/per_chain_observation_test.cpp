@@ -26,7 +26,8 @@ TEST(PerChainObservation, VerdictsAreChainLocal) {
   // 2 chains of 4; failing cell 5 = chain 1, position 1.
   const ScanTopology topo = ScanTopology::blockChains(8, 2);
   const PerChainObservation obs(topo);
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({2, 2}, 4)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({2, 2}, 4)});
   const PerChainVerdicts v = obs.run(parts, makeResponse(8, {5}));
   EXPECT_FALSE(v.failing[0][0].test(0));  // chain 0 clean
   EXPECT_TRUE(v.failing[0][1].test(0));   // chain 1, group of positions 0-1
@@ -36,7 +37,8 @@ TEST(PerChainObservation, VerdictsAreChainLocal) {
 TEST(PerChainObservation, CandidatesStayOnTheFailingChain) {
   const ScanTopology topo = ScanTopology::blockChains(8, 2);
   const PerChainObservation obs(topo);
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({2, 2}, 4)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({2, 2}, 4)});
   const CandidateSet cand = obs.diagnose(parts, makeResponse(8, {5}));
   // Shared observation would give {0,1,4,5}; per-chain confines to chain 1.
   EXPECT_EQ(cand.cells.toIndices(), (std::vector<std::size_t>{4, 5}));
@@ -53,15 +55,15 @@ TEST(PerChainObservation, SubsetOfSharedObservation) {
   config.numPartitions = 4;
   config.groupsPerPartition = 4;
   config.numPatterns = 64;
-  const std::vector<Partition> partitions =
-      buildPartitions(config, work.topology.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, work.topology.maxChainLength()));
+  const std::vector<Partition>& partitions = prepared.partitions();
   const SessionEngine engine(work.topology, SessionConfig{SignatureMode::Exact, 64});
   const CandidateAnalyzer shared(work.topology);
   const PerChainObservation perChain(work.topology);
   bool strictlySmaller = false;
   for (const FaultResponse& r : work.responses) {
-    const CandidateSet a = shared.analyze(partitions, engine.run(partitions, r));
-    const CandidateSet b = perChain.diagnose(partitions, r);
+    const CandidateSet a = shared.analyze(partitions, engine.run(prepared, r));
+    const CandidateSet b = perChain.diagnose(prepared, r);
     EXPECT_TRUE(b.cells.isSubsetOf(a.cells));
     EXPECT_TRUE(r.failingCells.isSubsetOf(b.cells));  // still sound
     strictlySmaller |= b.cellCount() < a.cellCount();
@@ -80,14 +82,14 @@ TEST(PerChainObservation, SingleChainEqualsSharedObservation) {
   config.numPartitions = 4;
   config.groupsPerPartition = 4;
   config.numPatterns = 64;
-  const std::vector<Partition> partitions =
-      buildPartitions(config, work.topology.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, work.topology.maxChainLength()));
+  const std::vector<Partition>& partitions = prepared.partitions();
   const SessionEngine engine(work.topology, SessionConfig{SignatureMode::Exact, 64});
   const CandidateAnalyzer shared(work.topology);
   const PerChainObservation perChain(work.topology);
   for (const FaultResponse& r : work.responses) {
-    EXPECT_EQ(perChain.diagnose(partitions, r).cells,
-              shared.analyze(partitions, engine.run(partitions, r)).cells);
+    EXPECT_EQ(perChain.diagnose(prepared, r).cells,
+              shared.analyze(partitions, engine.run(prepared, r)).cells);
   }
 }
 
@@ -97,7 +99,8 @@ TEST(PerChainObservation, MismatchedInputsRejected) {
   const std::vector<Partition> parts{IntervalPartitioner::fromLengths({2, 2}, 4)};
   PerChainVerdicts empty;
   EXPECT_THROW(obs.analyze(parts, empty), std::invalid_argument);
-  const std::vector<Partition> wrong{IntervalPartitioner::fromLengths({3, 3}, 6)};
+  const PreparedPartitionSet wrong(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({3, 3}, 6)});
   EXPECT_THROW(obs.run(wrong, makeResponse(8, {1})), std::invalid_argument);
 }
 

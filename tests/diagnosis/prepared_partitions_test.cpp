@@ -4,17 +4,20 @@
 
 #include <algorithm>
 #include <bit>
+#include <set>
 
 #include "diagnosis/experiment_driver.hpp"
+#include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/superposition_pruner.hpp"
 #include "netlist/synthetic_generator.hpp"
 
 namespace scandiag {
 namespace {
 
-// Parity contract of the prepared-schedule hot path: everything computed
-// through a PreparedPartitionSet must be bit-identical to the per-call
-// groupTable() fallback, for every scheme the pipeline can build.
+// Parity contract of the prepared schedule: its one group layout must agree
+// with the Partition it indexes, and everything scored or pruned through it
+// must match the per-session reference scorer and a Partition-level oracle,
+// for every scheme the pipeline can build.
 
 const SchemeKind kSchemes[] = {SchemeKind::IntervalBased, SchemeKind::RandomSelection,
                                SchemeKind::TwoStep};
@@ -25,8 +28,53 @@ DiagnosisConfig configFor(SchemeKind scheme, std::size_t numPatterns) {
   config.numPartitions = 6;
   config.groupsPerPartition = 8;
   config.numPatterns = numPatterns;
-  config.pruning = true;  // forces signature computation, the table-using path
+  config.pruning = true;  // forces signature computation, the layout-using path
   return config;
+}
+
+/// The prepared layout agrees with the Partition it indexes at every position.
+void expectLayoutMatchesPartitions(const PreparedPartitionSet& prepared) {
+  const std::size_t length = prepared.empty() ? 0 : prepared.partition(0).length();
+  std::size_t total = 0;
+  for (std::size_t p = 0; p < prepared.size(); ++p) {
+    EXPECT_EQ(prepared.groupOffset(p), total) << "partition " << p;
+    total += prepared.partition(p).groupCount();
+    const std::vector<std::size_t> table = prepared.partition(p).groupTable();
+    for (std::size_t pos = 0; pos < length; ++pos) {
+      ASSERT_EQ(prepared.groupsAtPosition(pos)[p] - prepared.groupOffset(p), table[pos])
+          << "partition " << p << " position " << pos;
+    }
+  }
+  EXPECT_EQ(prepared.totalGroups(), total);
+}
+
+/// Partition-level oracle for one fault: a group fails iff it holds a
+/// failing position (exact) or its signature — the XOR of its cells' error
+/// signatures, each cell placed by Partition::groupOf — is nonzero (MISR).
+void expectVerdictsMatchPartitions(const SessionEngine& engine,
+                                   const PreparedPartitionSet& prepared,
+                                   const FaultResponse& r, const GroupVerdicts& v) {
+  const ScanTopology& topo = engine.topology();
+  const BitVector failingPositions = topo.collapseCells(r.failingCells);
+  ASSERT_EQ(v.failing.size(), prepared.size());
+  for (std::size_t p = 0; p < prepared.size(); ++p) {
+    const Partition& partition = prepared.partition(p);
+    std::vector<std::uint64_t> sig(partition.groupCount(), 0);
+    for (std::size_t i = 0; i < r.failingCellOrdinals.size(); ++i) {
+      const std::size_t cell = r.failingCellOrdinals[i];
+      sig[partition.groupOf(topo.location(cell).position)] ^=
+          engine.cellErrorSignature(cell, r.errorStreams[i]);
+    }
+    for (std::size_t g = 0; g < partition.groupCount(); ++g) {
+      const bool expected = engine.config().mode == SignatureMode::Exact
+                                ? partition.groups[g].intersects(failingPositions)
+                                : sig[g] != 0;
+      ASSERT_EQ(v.failing[p].test(g), expected) << "partition " << p << " group " << g;
+      if (v.hasSignatures) {
+        ASSERT_EQ(v.errorSig[p][g], sig[g]) << "partition " << p << " group " << g;
+      }
+    }
+  }
 }
 
 TEST(PreparedPartitionSet, TablesMatchPerCallGroupTable) {
@@ -39,9 +87,9 @@ TEST(PreparedPartitionSet, TablesMatchPerCallGroupTable) {
       const std::vector<Partition> partitions = buildPartitions(config, chainLength);
       const PreparedPartitionSet prepared(partitions);
       ASSERT_EQ(prepared.size(), partitions.size());
+      SCOPED_TRACE(schemeName(scheme) + " length " + std::to_string(chainLength));
+      expectLayoutMatchesPartitions(prepared);
       for (std::size_t p = 0; p < partitions.size(); ++p) {
-        EXPECT_EQ(prepared.groupTable(p), partitions[p].groupTable())
-            << schemeName(scheme) << " length " << chainLength << " partition " << p;
         EXPECT_EQ(&prepared.partition(p), &prepared.partitions()[p]);
       }
     }
@@ -52,6 +100,41 @@ TEST(PreparedPartitionSet, EmptySet) {
   const PreparedPartitionSet prepared;
   EXPECT_TRUE(prepared.empty());
   EXPECT_EQ(prepared.size(), 0u);
+  EXPECT_EQ(prepared.totalGroups(), 0u);
+}
+
+TEST(PreparedPartitionSet, MixedLengthScheduleRejected) {
+  std::vector<Partition> mixed{IntervalPartitioner::fromLengths({4, 4}, 8),
+                               IntervalPartitioner::fromLengths({3, 3}, 6)};
+  EXPECT_THROW(PreparedPartitionSet{std::move(mixed)}, std::invalid_argument);
+}
+
+TEST(PreparedPartitionSet, EmptySetScoresToZeroRows) {
+  const ScanTopology topo = ScanTopology::singleChain(8);
+  const PreparedPartitionSet empty;
+  FaultResponse r;
+  r.failingCells = BitVector(8);
+  r.failingCells.set(3);
+  r.failingCellOrdinals.push_back(3);
+  r.errorStreams.push_back(BitVector(4, true));
+  for (const SignatureMode mode : {SignatureMode::Exact, SignatureMode::Misr}) {
+    SessionConfig sc{mode, 4};
+    sc.computeSignatures = true;
+    const SessionEngine engine(topo, sc);
+    for (const GroupVerdicts& v : {engine.runBatched(empty, r), engine.runReference(empty, r)}) {
+      EXPECT_TRUE(v.failing.empty());
+      EXPECT_TRUE(v.errorSig.empty());
+    }
+    // Nothing was observed, so nothing can be pruned.
+    CandidateSet all;
+    all.positions = BitVector(8, true);
+    all.cells = BitVector(8, true);
+    PruneStats stats;
+    const CandidateSet out =
+        SuperpositionPruner(topo).prune(empty, engine.run(empty, r), all, &stats);
+    EXPECT_EQ(out.cells, all.cells);
+    EXPECT_EQ(stats.atoms, 0u);
+  }
 }
 
 class PreparedParityFixture : public ::testing::Test {
@@ -69,67 +152,93 @@ class PreparedParityFixture : public ::testing::Test {
   }
 };
 
+// Batched scorer == per-session reference == Partition-level oracle, with
+// pruning signatures on (exact verdicts).
 TEST_F(PreparedParityFixture, EngineRunMatchesVectorOverload) {
   for (const SchemeKind scheme : kSchemes) {
+    SCOPED_TRACE(schemeName(scheme));
     const DiagnosisConfig config = configFor(scheme, work().patternsApplied);
-    const std::vector<Partition> partitions =
-        buildPartitions(config, work().topology.maxChainLength());
-    const PreparedPartitionSet prepared(partitions);
+    const PreparedPartitionSet prepared(
+        buildPartitions(config, work().topology.maxChainLength()));
 
     SessionConfig sc{SignatureMode::Exact, config.numPatterns};
     sc.computeSignatures = true;
     const SessionEngine engine(work().topology, sc);
     for (const FaultResponse& r : work().responses) {
-      const GroupVerdicts viaPrepared = engine.run(prepared, r);
-      const GroupVerdicts viaVector = engine.run(partitions, r);
-      ASSERT_EQ(viaPrepared.failing, viaVector.failing) << schemeName(scheme);
-      ASSERT_EQ(viaPrepared.errorSig, viaVector.errorSig) << schemeName(scheme);
-      EXPECT_EQ(viaPrepared.hasSignatures, viaVector.hasSignatures);
-      EXPECT_EQ(viaPrepared.signatureDegree, viaVector.signatureDegree);
+      const GroupVerdicts batched = engine.run(prepared, r);
+      const GroupVerdicts reference = engine.runReference(prepared, r);
+      ASSERT_EQ(batched.failing, reference.failing);
+      ASSERT_EQ(batched.errorSig, reference.errorSig);
+      EXPECT_EQ(batched.hasSignatures, reference.hasSignatures);
+      EXPECT_EQ(batched.signatureDegree, reference.signatureDegree);
+      expectVerdictsMatchPartitions(engine, prepared, r, reference);
     }
   }
 }
 
 TEST_F(PreparedParityFixture, MisrModeRunMatchesVectorOverload) {
   const DiagnosisConfig config = configFor(SchemeKind::TwoStep, work().patternsApplied);
-  const std::vector<Partition> partitions =
-      buildPartitions(config, work().topology.maxChainLength());
-  const PreparedPartitionSet prepared(partitions);
+  const PreparedPartitionSet prepared(
+      buildPartitions(config, work().topology.maxChainLength()));
 
   const SessionConfig sc{SignatureMode::Misr, config.numPatterns};
   const SessionEngine engine(work().topology, sc);
   for (const FaultResponse& r : work().responses) {
-    const GroupVerdicts viaPrepared = engine.run(prepared, r);
-    const GroupVerdicts viaVector = engine.run(partitions, r);
-    ASSERT_EQ(viaPrepared.failing, viaVector.failing);
-    ASSERT_EQ(viaPrepared.errorSig, viaVector.errorSig);
+    const GroupVerdicts batched = engine.run(prepared, r);
+    const GroupVerdicts reference = engine.runReference(prepared, r);
+    ASSERT_EQ(batched.failing, reference.failing);
+    ASSERT_EQ(batched.errorSig, reference.errorSig);
+    expectVerdictsMatchPartitions(engine, prepared, r, reference);
   }
 }
 
+// runPartition(prepared, p) reproduces row p of both whole-schedule scorers,
+// in exact, MISR and prune-signature modes.
 TEST_F(PreparedParityFixture, RunPartitionMatchesVectorOverload) {
   const DiagnosisConfig config = configFor(SchemeKind::RandomSelection, work().patternsApplied);
-  const std::vector<Partition> partitions =
-      buildPartitions(config, work().topology.maxChainLength());
-  const PreparedPartitionSet prepared(partitions);
+  const PreparedPartitionSet prepared(
+      buildPartitions(config, work().topology.maxChainLength()));
 
-  SessionConfig sc{SignatureMode::Exact, config.numPatterns};
-  sc.computeSignatures = true;
-  const SessionEngine engine(work().topology, sc);
-  const FaultResponse& r = work().responses.front();
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    const PartitionVerdictRow viaPrepared = engine.runPartition(prepared, p, r);
-    const PartitionVerdictRow viaVector = engine.runPartition(partitions[p], r);
-    EXPECT_EQ(viaPrepared.failing, viaVector.failing) << "partition " << p;
-    EXPECT_EQ(viaPrepared.errorSig, viaVector.errorSig) << "partition " << p;
+  struct Mode {
+    SignatureMode mode;
+    bool computeSignatures;
+    const char* name;
+  };
+  for (const Mode m : {Mode{SignatureMode::Exact, false, "exact"},
+                       Mode{SignatureMode::Misr, false, "misr"},
+                       Mode{SignatureMode::Exact, true, "prune-signature"}}) {
+    SessionConfig sc{m.mode, config.numPatterns};
+    sc.computeSignatures = m.computeSignatures;
+    const SessionEngine engine(work().topology, sc);
+    for (std::size_t f = 0; f < 5; ++f) {
+      const FaultResponse& r = work().responses[f];
+      const GroupVerdicts batched = engine.runBatched(prepared, r);
+      const GroupVerdicts reference = engine.runReference(prepared, r);
+      for (std::size_t p = 0; p < prepared.size(); ++p) {
+        const PartitionVerdictRow row = engine.runPartition(prepared, p, r);
+        EXPECT_EQ(row.failing, batched.failing[p]) << m.name << " partition " << p;
+        EXPECT_EQ(row.failing, reference.failing[p]) << m.name << " partition " << p;
+        if (batched.hasSignatures) {
+          EXPECT_EQ(row.errorSig, batched.errorSig[p]) << m.name << " partition " << p;
+          EXPECT_EQ(row.errorSig, reference.errorSig[p]) << m.name << " partition " << p;
+        } else {
+          EXPECT_TRUE(row.errorSig.empty()) << m.name;
+        }
+      }
+    }
   }
 }
 
+// Pruning reads only the prepared layout: its atoms are exactly the classes
+// of candidate positions that Partition::groupOf places alike in every
+// partition, the result is the same from either scorer's verdicts, and it
+// keeps every true failing position.
 TEST_F(PreparedParityFixture, PrunerMatchesVectorOverload) {
   for (const SchemeKind scheme : kSchemes) {
+    SCOPED_TRACE(schemeName(scheme));
     const DiagnosisConfig config = configFor(scheme, work().patternsApplied);
-    const std::vector<Partition> partitions =
-        buildPartitions(config, work().topology.maxChainLength());
-    const PreparedPartitionSet prepared(partitions);
+    const PreparedPartitionSet prepared(
+        buildPartitions(config, work().topology.maxChainLength()));
 
     SessionConfig sc{SignatureMode::Exact, config.numPatterns};
     sc.computeSignatures = true;
@@ -137,19 +246,31 @@ TEST_F(PreparedParityFixture, PrunerMatchesVectorOverload) {
     const CandidateAnalyzer analyzer(work().topology);
     const SuperpositionPruner pruner(work().topology);
     for (const FaultResponse& r : work().responses) {
-      const GroupVerdicts verdicts = engine.run(prepared, r);
-      const CandidateSet candidates = analyzer.analyze(partitions, verdicts);
-      PruneStats statsPrepared, statsVector;
-      const CandidateSet viaPrepared =
-          pruner.prune(prepared, verdicts, candidates, &statsPrepared);
-      const CandidateSet viaVector =
-          pruner.prune(partitions, verdicts, candidates, &statsVector);
-      ASSERT_EQ(viaPrepared.positions, viaVector.positions) << schemeName(scheme);
-      ASSERT_EQ(viaPrepared.cells, viaVector.cells) << schemeName(scheme);
-      EXPECT_EQ(statsPrepared.atoms, statsVector.atoms);
-      EXPECT_EQ(statsPrepared.prunedAtoms, statsVector.prunedAtoms);
-      EXPECT_EQ(statsPrepared.prunedPositions, statsVector.prunedPositions);
-      EXPECT_EQ(statsPrepared.consistent, statsVector.consistent);
+      const GroupVerdicts batched = engine.run(prepared, r);
+      const GroupVerdicts reference = engine.runReference(prepared, r);
+      const CandidateSet candidates = analyzer.analyze(prepared.partitions(), reference);
+      PruneStats statsBatched, statsReference;
+      const CandidateSet viaBatched =
+          pruner.prune(prepared, batched, candidates, &statsBatched);
+      const CandidateSet viaReference =
+          pruner.prune(prepared, reference, candidates, &statsReference);
+      ASSERT_EQ(viaBatched.positions, viaReference.positions);
+      ASSERT_EQ(viaBatched.cells, viaReference.cells);
+      EXPECT_EQ(statsBatched.prunedAtoms, statsReference.prunedAtoms);
+      EXPECT_EQ(statsBatched.prunedPositions, statsReference.prunedPositions);
+      EXPECT_EQ(statsBatched.consistent, statsReference.consistent);
+
+      std::set<std::vector<std::size_t>> membership;
+      for (const std::size_t pos : candidates.positions.toIndices()) {
+        std::vector<std::size_t> key;
+        for (const Partition& partition : prepared.partitions()) {
+          key.push_back(partition.groupOf(pos));
+        }
+        membership.insert(std::move(key));
+      }
+      EXPECT_EQ(statsReference.atoms, membership.size());
+      EXPECT_TRUE(viaReference.positions.isSubsetOf(candidates.positions));
+      EXPECT_TRUE(r.failingCells.isSubsetOf(viaReference.cells));
     }
   }
 }
@@ -166,11 +287,10 @@ TEST(PreparedPartitionSetPipeline, PipelineExposesPreparedSchedule) {
     const DiagnosisConfig config = configFor(scheme, wc.numPatterns);
     const DiagnosisPipeline pipeline(work.topology, config);
     ASSERT_EQ(pipeline.prepared().size(), pipeline.partitions().size());
-    for (std::size_t p = 0; p < pipeline.partitions().size(); ++p) {
-      EXPECT_EQ(pipeline.prepared().groupTable(p), pipeline.partitions()[p].groupTable());
-    }
-    // End-to-end: the prepared-path diagnose matches a hand-rolled run over
-    // the bare partition vector.
+    EXPECT_EQ(&pipeline.prepared().partitions(), &pipeline.partitions());
+    expectLayoutMatchesPartitions(pipeline.prepared());
+    // End-to-end: the pipeline's diagnose matches a hand-rolled run through
+    // the per-session reference scorer.
     SessionConfig sc{SignatureMode::Exact, config.numPatterns};
     sc.computeSignatures = true;
     const SessionEngine engine(work.topology, sc);
@@ -178,9 +298,9 @@ TEST(PreparedPartitionSetPipeline, PipelineExposesPreparedSchedule) {
     const SuperpositionPruner pruner(work.topology);
     for (const FaultResponse& r : work.responses) {
       const FaultDiagnosis d = pipeline.diagnose(r);
-      const GroupVerdicts verdicts = engine.run(pipeline.partitions(), r);
+      const GroupVerdicts verdicts = engine.runReference(pipeline.prepared(), r);
       CandidateSet expected = analyzer.analyze(pipeline.partitions(), verdicts);
-      expected = pruner.prune(pipeline.partitions(), verdicts, expected);
+      expected = pruner.prune(pipeline.prepared(), verdicts, expected);
       EXPECT_EQ(d.candidates.positions, expected.positions) << schemeName(scheme);
       EXPECT_EQ(d.candidates.cells, expected.cells) << schemeName(scheme);
     }

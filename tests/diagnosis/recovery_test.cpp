@@ -31,20 +31,21 @@ struct SchemeFixture {
     config.numPartitions = 4;
     config.groupsPerPartition = 4;
     config.numPatterns = 4;
-    parts = buildPartitions(config, topo.maxChainLength());
+    prepared = PreparedPartitionSet(buildPartitions(config, topo.maxChainLength()));
   }
 
   ScanTopology topo;
   DiagnosisConfig config;
-  std::vector<Partition> parts;
+  PreparedPartitionSet prepared;
+  const std::vector<Partition>& parts = prepared.partitions();
   SessionEngine engine{topo, SessionConfig{SignatureMode::Exact, 4}};
 };
 
 /// Re-run that returns the clean (noiseless) row — models a transient glitch.
-PartitionRerun cleanRerun(const SessionEngine& engine, const std::vector<Partition>& parts,
+PartitionRerun cleanRerun(const SessionEngine& engine, const PreparedPartitionSet& prepared,
                           const FaultResponse& response) {
-  return [&engine, &parts, &response](std::size_t p, std::size_t) {
-    return engine.runPartition(parts[p], response);
+  return [&engine, &prepared, &response](std::size_t p, std::size_t) {
+    return engine.runPartition(prepared, p, response);
   };
 }
 
@@ -64,7 +65,7 @@ TEST(DiagnosisRecovery, SingleFlipEveryPositionRepairedOrSuperset) {
     const CandidateAnalyzer analyzer(f.topo);
     for (const std::size_t cell : {std::size_t{0}, std::size_t{13}, std::size_t{23}}) {
       const FaultResponse response = makeResponse(24, {cell});
-      const GroupVerdicts clean = f.engine.run(f.parts, response);
+      const GroupVerdicts clean = f.engine.run(f.prepared, response);
       const CandidateSet cleanCandidates = analyzer.analyze(f.parts, clean);
       for (std::size_t p = 0; p < f.parts.size(); ++p) {
         for (std::size_t g = 0; g < f.parts[p].groupCount(); ++g) {
@@ -72,7 +73,7 @@ TEST(DiagnosisRecovery, SingleFlipEveryPositionRepairedOrSuperset) {
           const bool wasFailing = noisy.failing[p].test(g);
           noisy.failing[p].flip(g);
           const RecoveredDiagnosis d =
-              recovery.recover(f.parts, noisy, cleanRerun(f.engine, f.parts, response));
+              recovery.recover(f.parts, noisy, cleanRerun(f.engine, f.prepared, response));
           const std::string where = std::string(schemeName(scheme)) + " cell " +
                                     std::to_string(cell) + " flip p" + std::to_string(p) +
                                     " g" + std::to_string(g);
@@ -99,12 +100,12 @@ TEST(DiagnosisRecovery, ConsistentVerdictsSpendNothing) {
   policy.sessionBudget = 100;
   const DiagnosisRecovery recovery(f.topo, policy);
   const FaultResponse response = makeResponse(24, {7});
-  const GroupVerdicts clean = f.engine.run(f.parts, response);
+  const GroupVerdicts clean = f.engine.run(f.prepared, response);
   std::size_t reruns = 0;
   const RecoveredDiagnosis d = recovery.recover(
       f.parts, clean, [&](std::size_t p, std::size_t) {
         ++reruns;
-        return f.engine.runPartition(f.parts[p], response);
+        return f.engine.runPartition(f.prepared, p, response);
       });
   EXPECT_EQ(reruns, 0u);
   EXPECT_EQ(d.retrySessions, 0u);
@@ -119,10 +120,10 @@ TEST(DiagnosisRecovery, BudgetIsNeverExceeded) {
   policy.sessionBudget = 6;  // groupCount is 4: one re-run fits, a second does not
   const DiagnosisRecovery recovery(f.topo, policy);
   const FaultResponse response = makeResponse(24, {7});
-  GroupVerdicts noisy = f.engine.run(f.parts, response);
+  GroupVerdicts noisy = f.engine.run(f.prepared, response);
   noisy.failing[1].resetAll();  // lost fail verdict -> partition 1 suspect
   const RecoveredDiagnosis d =
-      recovery.recover(f.parts, noisy, cleanRerun(f.engine, f.parts, response));
+      recovery.recover(f.parts, noisy, cleanRerun(f.engine, f.prepared, response));
   EXPECT_LE(d.retrySessions, policy.sessionBudget);
   EXPECT_EQ(d.retrySessions, 4u);
   EXPECT_TRUE(d.candidates.cells.test(7));
@@ -134,7 +135,7 @@ TEST(DiagnosisRecovery, NoRerunDegradesToDroppedPartition) {
   policy.sessionBudget = 100;
   const DiagnosisRecovery recovery(f.topo, policy);
   const FaultResponse response = makeResponse(24, {7});
-  GroupVerdicts noisy = f.engine.run(f.parts, response);
+  GroupVerdicts noisy = f.engine.run(f.prepared, response);
   noisy.failing[1].resetAll();
   // Offline logs cannot be re-run: null rerun goes straight to degradation.
   const RecoveredDiagnosis d = recovery.recover(f.parts, noisy, nullptr);
@@ -152,12 +153,12 @@ TEST(DiagnosisRecovery, PersistentLieFallsBackToDegradation) {
   policy.sessionBudget = 64;
   const DiagnosisRecovery recovery(f.topo, policy);
   const FaultResponse response = makeResponse(24, {7});
-  GroupVerdicts noisy = f.engine.run(f.parts, response);
+  GroupVerdicts noisy = f.engine.run(f.prepared, response);
   noisy.failing[1].resetAll();
   // The tester keeps lying: every re-run of partition 1 reads all-pass too.
   const RecoveredDiagnosis d = recovery.recover(
       f.parts, noisy, [&](std::size_t p, std::size_t) {
-        PartitionVerdictRow row = f.engine.runPartition(f.parts[p], response);
+        PartitionVerdictRow row = f.engine.runPartition(f.prepared, p, response);
         if (p == 1) row.failing.resetAll();
         return row;
       });
@@ -181,7 +182,7 @@ TEST(DiagnosisRecovery, MultiCellLostFailVerdictWidensWhenDetected) {
     const SchemeFixture f(scheme);
     const DiagnosisRecovery recovery(f.topo, RetryPolicy{});
     const FaultResponse response = makeResponse(24, {3, 4, 10, 17, 18, 22});
-    const GroupVerdicts clean = f.engine.run(f.parts, response);
+    const GroupVerdicts clean = f.engine.run(f.prepared, response);
     std::size_t detected = 0;
     for (std::size_t p = 0; p < f.parts.size(); ++p) {
       for (std::size_t g = 0; g < f.parts[p].groupCount(); ++g) {
@@ -214,11 +215,12 @@ TEST(DiagnosisRecovery, ManyRepairsNeverUnderflowConfidenceBelowFloor) {
   config.numPartitions = 160;  // 0.9^160 alone is ~5e-8, far below the floor
   config.groupsPerPartition = 4;
   config.numPatterns = 4;
-  const std::vector<Partition> parts = buildPartitions(config, topo.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, topo.maxChainLength()));
+  const std::vector<Partition>& parts = prepared.partitions();
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 4});
   const FaultResponse response = makeResponse(24, {7});
 
-  GroupVerdicts noisy = engine.run(parts, response);
+  GroupVerdicts noisy = engine.run(prepared, response);
   for (std::size_t p = 0; p < parts.size(); ++p) {
     // One extra (phantom) failing group per partition, never the true one.
     const std::size_t truthful = noisy.failing[p].findFirst();
@@ -233,7 +235,7 @@ TEST(DiagnosisRecovery, ManyRepairsNeverUnderflowConfidenceBelowFloor) {
   // repairs nothing and every phantom survives to the degradation pass.
   const RecoveredDiagnosis d = recovery.recover(
       parts, noisy, [&](std::size_t p, std::size_t) {
-        PartitionVerdictRow row = engine.runPartition(parts[p], response);
+        PartitionVerdictRow row = engine.runPartition(prepared, p, response);
         row.failing = noisy.failing[p];
         return row;
       });
@@ -260,7 +262,7 @@ TEST(DiagnosisRecovery, ReplayStableDisjointUnionShortCircuitsToUnionAnalysis) {
                                      IntervalPartitioner::fromLengths({6, 6}, 12),
                                      IntervalPartitioner::fromLengths({2, 2, 2, 2, 2, 2}, 12)};
   const FaultResponse response = makeResponse(12, {2, 9});
-  GroupVerdicts aliased = engine.run(parts, response);
+  GroupVerdicts aliased = engine.run(PreparedPartitionSet(parts), response);
   // Deterministic aliasing: cell 2's verdict is lost in the thirds partition
   // (union collapses to [8..11]) and cell 9's in the pairs partition (union
   // collapses to [2,3]). Running intersection: {8..11} ∩ all ∩ {2,3} = ∅ —

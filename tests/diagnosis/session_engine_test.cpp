@@ -28,7 +28,8 @@ TEST(SessionEngine, ExactVerdictsMatchGroupMembership) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 8});
   // Partition: [0..3], [4..7], [8..11].
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({4, 4, 4}, 12)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({4, 4, 4}, 12)});
   const FaultResponse r = makeResponse(12, 8, {1, 9});
   const GroupVerdicts v = engine.run(parts, r);
   EXPECT_TRUE(v.failing[0].test(0));
@@ -40,7 +41,8 @@ TEST(SessionEngine, ExactVerdictsMatchGroupMembership) {
 TEST(SessionEngine, NoFailingCellsMeansAllGroupsPass) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 8});
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({6, 6}, 12)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({6, 6}, 12)});
   const FaultResponse r = makeResponse(12, 8, {});
   const GroupVerdicts v = engine.run(parts, r);
   EXPECT_TRUE(v.failing[0].none());
@@ -51,7 +53,8 @@ TEST(SessionEngine, MultiChainVerdictsUseShiftPositions) {
   // group containing position 1 fails even though cell 1 (chain 0) is fine.
   const ScanTopology topo = ScanTopology::blockChains(12, 2);
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 8});
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({2, 2, 2}, 6)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({2, 2, 2}, 6)});
   const FaultResponse r = makeResponse(12, 8, {7});
   const GroupVerdicts v = engine.run(parts, r);
   EXPECT_TRUE(v.failing[0].test(0));   // positions 0-1
@@ -64,7 +67,8 @@ TEST(SessionEngine, MisrModeFlagsNonzeroSignatures) {
   SessionConfig config{SignatureMode::Misr, 8};
   config.misrDegree = 16;
   const SessionEngine engine(topo, config);
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({4, 4, 4}, 12)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({4, 4, 4}, 12)});
   const FaultResponse r = makeResponse(12, 8, {5});
   const GroupVerdicts v = engine.run(parts, r);
   EXPECT_TRUE(v.hasSignatures);
@@ -79,7 +83,8 @@ TEST(SessionEngine, GroupSignatureIsXorOfCellSignatures) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   SessionConfig config{SignatureMode::Misr, 8};
   const SessionEngine engine(topo, config);
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({12}, 12)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({12}, 12)});
 
   const FaultResponse both = makeResponse(12, 8, {2, 9});
   const FaultResponse only2 = makeResponse(12, 8, {2});
@@ -116,7 +121,8 @@ TEST(SessionEngine, ExactModeComputesPruneSignaturesOnRequest) {
   config.computeSignatures = true;
   config.pruneDegree = 32;
   const SessionEngine engine(topo, config);
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({6, 6}, 12)};
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({6, 6}, 12)});
   const GroupVerdicts v = engine.run(parts, makeResponse(12, 8, {3}));
   EXPECT_TRUE(v.hasSignatures);
   EXPECT_EQ(v.signatureDegree, 32u);
@@ -126,8 +132,10 @@ TEST(SessionEngine, ExactModeComputesPruneSignaturesOnRequest) {
 TEST(SessionEngine, PartitionLengthMismatchRejected) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 8});
-  const std::vector<Partition> parts{IntervalPartitioner::fromLengths({5, 5}, 10)};
-  EXPECT_THROW(engine.run(parts, makeResponse(12, 8, {3})), std::invalid_argument);
+  const PreparedPartitionSet parts(
+      std::vector<Partition>{IntervalPartitioner::fromLengths({5, 5}, 10)});
+  EXPECT_THROW(engine.runBatched(parts, makeResponse(12, 8, {3})), std::invalid_argument);
+  EXPECT_THROW(engine.runReference(parts, makeResponse(12, 8, {3})), std::invalid_argument);
 }
 
 }  // namespace

@@ -88,7 +88,8 @@ TEST(TesterLog, OfflineDiagnosisMatchesIntegratedPipeline) {
 
   const PatternSet pats = generatePatterns(nl, 64);
   const FaultSimulator sim(nl, pats);
-  const std::vector<Partition> partitions = buildPartitions(config, topology.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, topology.maxChainLength()));
+  const std::vector<Partition>& partitions = prepared.partitions();
   SessionConfig sc{SignatureMode::Misr, 64};
   const SessionEngine engine(topology, sc);
   const CandidateAnalyzer analyzer(topology);
@@ -98,7 +99,7 @@ TEST(TesterLog, OfflineDiagnosisMatchesIntegratedPipeline) {
     const FaultResponse r = sim.simulate(f);
     if (!r.detected()) continue;
     ++checked;
-    const GroupVerdicts verdicts = engine.run(partitions, r);
+    const GroupVerdicts verdicts = engine.run(prepared, r);
     const CandidateSet direct = analyzer.analyze(partitions, verdicts);
 
     // Through the log.
@@ -122,7 +123,8 @@ TEST(TesterLog, OfflinePruningFromLoggedSignatures) {
 
   const PatternSet pats = generatePatterns(nl, 64);
   const FaultSimulator sim(nl, pats);
-  const std::vector<Partition> partitions = buildPartitions(config, topology.maxChainLength());
+  const PreparedPartitionSet prepared(buildPartitions(config, topology.maxChainLength()));
+  const std::vector<Partition>& partitions = prepared.partitions();
   SessionConfig sc{SignatureMode::Misr, 64};
   const SessionEngine engine(topology, sc);
   const CandidateAnalyzer analyzer(topology);
@@ -131,7 +133,7 @@ TEST(TesterLog, OfflinePruningFromLoggedSignatures) {
   for (const FaultSite& f : FaultList::enumerateCollapsed(nl).sample(60, 0x107)) {
     const FaultResponse r = sim.simulate(f);
     if (!r.detected()) continue;
-    const GroupVerdicts verdicts = engine.run(partitions, r);
+    const GroupVerdicts verdicts = engine.run(prepared, r);
     const CandidateSet unpruned = analyzer.analyze(partitions, verdicts);
     const TesterLog log = parseTesterLogString(writeTesterLog(verdicts));
     const CandidateSet offline = diagnoseFromLog(topology, config, log);

@@ -33,7 +33,7 @@ struct Fixture {
   FaultResponse response = makeResponse(16, {5});
   BitVector failingPositions = topo.collapseCells(response.failingCells);
 
-  GroupVerdicts clean() const { return engine.run(parts, response); }
+  GroupVerdicts clean() const { return engine.run(PreparedPartitionSet(parts), response); }
 };
 
 TEST(VerdictCorruptor, RatesOutsideUnitIntervalRejected) {
@@ -166,7 +166,7 @@ TEST(VerdictCorruptor, AliasingZeroesTheSignature) {
   SessionConfig sessionConfig{SignatureMode::Exact, 4};
   sessionConfig.computeSignatures = true;
   const SessionEngine sigEngine(f.topo, sessionConfig);
-  GroupVerdicts verdicts = sigEngine.run(f.parts, f.response);
+  GroupVerdicts verdicts = sigEngine.run(PreparedPartitionSet(f.parts), f.response);
   ASSERT_TRUE(verdicts.hasSignatures);
 
   NoiseConfig noise;

@@ -58,7 +58,7 @@ std::string sampleTesterLog() {
   BitVector stream(4);
   stream.set(0);
   r.errorStreams.push_back(stream);
-  return writeTesterLog(engine.run(parts, r));
+  return writeTesterLog(engine.run(PreparedPartitionSet(parts), r));
 }
 
 TEST(ParserFuzz, HundredCorruptTesterLogs) {

@@ -94,6 +94,18 @@ TEST_F(ServiceTest, InjectDetectedFaultCandidatesCoverTrueCells) {
   }
 }
 
+TEST_F(ServiceTest, RejectsSettingsThePartitionLoopCannotHonour) {
+  // Requests are scored one partition at a time, which needs a schedule
+  // fixed up front and cannot prune. Construction refuses both instead of
+  // answering every request with a mislabelled or unpruned reply.
+  ServiceConfig adaptive;
+  adaptive.diagnosis.scheme = SchemeKind::Adaptive;
+  EXPECT_THROW(DiagnosisService(Netlist(*netlist_), adaptive), std::invalid_argument);
+  ServiceConfig pruning;
+  pruning.diagnosis.pruning = true;
+  EXPECT_THROW(DiagnosisService(Netlist(*netlist_), pruning), std::invalid_argument);
+}
+
 TEST_F(ServiceTest, UnknownGateIsErrorReplyNotException) {
   const DiagnoseReply reply =
       service_->handle(injectRequest("no_such_gate", false), 1, kNoDeadline, nullptr);
@@ -108,7 +120,7 @@ TEST_F(ServiceTest, TesterLogMatchesInjectDiagnosis) {
   // log's schedule are the same partitions.
   const auto [fault, response] = detectedFault();
   const GroupVerdicts verdicts =
-      service_->pipeline().engine().run(service_->pipeline().partitions(), response);
+      service_->pipeline().engine().run(service_->pipeline().prepared(), response);
 
   DiagnoseRequest logRequest;
   logRequest.kind = DiagnoseRequest::Kind::TesterLog;

@@ -67,7 +67,8 @@
 //                     final DR/counters are bit-identical to an uninterrupted
 //                     run at any thread count
 //
-// Serve options (serve):
+// Serve options (serve; it scores one partition at a time, so it takes no
+// --prune and refuses --scheme adaptive):
 //   --socket PATH     unix-domain socket to listen on (required)
 //   --queue N         admission queue depth; one more connection is shed BUSY
 //                     (default 16)
@@ -927,7 +928,8 @@ struct Command {
 };
 
 const std::vector<Command>& commands() {
-  const std::string config = "scheme= partitions# groups# patterns# prune ";
+  const std::string schedule = "scheme= partitions# groups# patterns# ";
+  const std::string config = schedule + "prune ";
   const std::string noise = "noise% intermittent% xmask% alias% noise-seed# retry-budget# "
                             "max-retries# ";
   const std::string run = "deadline-ms# checkpoint= resume ";
@@ -949,8 +951,8 @@ const std::vector<Command>& commands() {
       {"offline", config + "log= cells# chains# json", cmdOffline},
       {"partitions", config, cmdPartitions},
       {"serve",
-       config + "socket= chains# sims# queue# handlers# request-deadline-ms# io-timeout-ms# "
-                "drain-ms# journal=",
+       schedule + "socket= chains# sims# queue# handlers# request-deadline-ms# io-timeout-ms# "
+                  "drain-ms# journal=",
        cmdServe},
       {"serve-ledger", "journal= json", cmdServeLedger},
   };
