@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "core/scandiag.hpp"
+#include "diagnosis/adaptive_planner.hpp"
 
 namespace scandiag {
 namespace {
@@ -55,23 +61,163 @@ TEST(GoldenValues, S9234TwoStepWithAndWithoutPruning) {
   EXPECT_EQ(b.sumActual, 474u);
 }
 
-TEST(GoldenValues, GeneratedNetlistFingerprint) {
-  // Cheap structural fingerprint of the s953 reconstruction: any generator
-  // change shows up here before it confuses a DR comparison downstream.
-  const Netlist nl = generateNamedCircuit("s953");
+// FNV-1a over 64-bit values: the fingerprints below fold whole generator
+// outputs into one number, so any change to a constant of the synthetic
+// netlist model, the PRPG or the selection hardware fails here by name.
+struct Fnv {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (GateId id = 0; id < nl.gateCount(); ++id) {
-    hash ^= static_cast<std::uint64_t>(nl.gate(id).type);
+  void add(std::uint64_t v) {
+    hash ^= v;
     hash *= 0x100000001b3ULL;
-    for (GateId f : nl.gate(id).fanins) {
-      hash ^= f;
-      hash *= 0x100000001b3ULL;
-    }
   }
-  EXPECT_EQ(hash, [] {
-    // Self-calibrating on first failure: print the new value in the message.
-    return 0xb6cd5024a69d89c8ULL;
-  }()) << "netlist generator output changed; new fingerprint = 0x" << std::hex << hash;
+};
+
+std::uint64_t netlistFingerprint(const Netlist& nl) {
+  Fnv f;
+  for (GateId id = 0; id < nl.gateCount(); ++id) {
+    f.add(static_cast<std::uint64_t>(nl.gate(id).type));
+    for (GateId fanin : nl.gate(id).fanins) f.add(fanin);
+  }
+  return f.hash;
+}
+
+std::uint64_t patternFingerprint(const Netlist& nl, const PatternSet& patterns) {
+  Fnv f;
+  for (GateId id = 0; id < nl.gateCount(); ++id) {
+    if (!patterns.isSource(id)) continue;
+    f.add(id);
+    for (std::size_t w = 0; w < patterns.wordCount(); ++w) f.add(patterns.word(id, w));
+  }
+  return f.hash;
+}
+
+std::uint64_t partitionFingerprint(const std::vector<Partition>& partitions) {
+  Fnv f;
+  for (const Partition& p : partitions) {
+    f.add(p.groupCount());
+    for (std::size_t g : p.groupTable()) f.add(g);
+  }
+  return f.hash;
+}
+
+/// Fingerprints recorded for every ISCAS-89 profile.
+const std::map<std::string, std::uint64_t>& recordedNetlistFingerprints() {
+  static const std::map<std::string, std::uint64_t> m = {
+      {"s27", 0x9b475cc4dd36ddbeULL},
+      {"s208", 0x83092c7c236b880fULL},
+      {"s298", 0xe864c780c6088dc2ULL},
+      {"s344", 0x2fa41bca41e6cdffULL},
+      {"s349", 0xe20b152195d43264ULL},
+      {"s382", 0x7f7fb37bf506b463ULL},
+      {"s386", 0xb4af91fcc27d3b15ULL},
+      {"s400", 0x7389491aa6ce9e09ULL},
+      {"s420", 0x85b74f9a3d7f0073ULL},
+      {"s444", 0x501fca7b10f0b824ULL},
+      {"s510", 0xd413f6082bc7520dULL},
+      {"s526", 0x6c9c1743ecc3a7dcULL},
+      {"s641", 0xcca273bd1a343fa0ULL},
+      {"s713", 0xac7edd9d3d60a0c1ULL},
+      {"s820", 0xe59d545fffeba5ebULL},
+      {"s832", 0x602a2b623eeeb8f9ULL},
+      {"s838", 0xa9ef7d2f7252b1cfULL},
+      {"s953", 0xb6cd5024a69d89c8ULL},
+      {"s1196", 0x303231646f759ce3ULL},
+      {"s1238", 0x191afa2934028c8aULL},
+      {"s1423", 0x8622b05ba88d7a77ULL},
+      {"s1488", 0xa351ab501df89707ULL},
+      {"s1494", 0xbfb13e7179b5f59fULL},
+      {"s5378", 0x63cde476b9287385ULL},
+      {"s9234", 0x8ef32434cbbde264ULL},
+      {"s13207", 0x97001e72cad8149ULL},
+      {"s15850", 0x652c7c09cb4fec70ULL},
+      {"s35932", 0x4c5f32ee2608c4a1ULL},
+      {"s38417", 0xf7e950ac4913f885ULL},
+      {"s38584", 0x29ffe4512c01a906ULL},
+  };
+  return m;
+}
+
+std::vector<std::string> profileNames() {
+  std::vector<std::string> names;
+  for (const Iscas89Profile& p : iscas89Profiles()) names.push_back(p.name);
+  return names;
+}
+
+class NetlistFingerprint : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(NetlistFingerprint, MatchesRecordedValue) {
+  // Cheap structural fingerprint of each ISCAS-89 reconstruction: any
+  // generator change shows up here before it confuses a DR comparison
+  // downstream.
+  const auto recorded = recordedNetlistFingerprints().find(GetParam());
+  ASSERT_NE(recorded, recordedNetlistFingerprints().end()) << "no fingerprint recorded";
+  const std::uint64_t hash = netlistFingerprint(generateNamedCircuit(GetParam()));
+  EXPECT_EQ(hash, recorded->second)
+      << "netlist generator output changed; new fingerprint = 0x" << std::hex << hash;
+}
+
+INSTANTIATE_TEST_SUITE_P(Profiles, NetlistFingerprint, ::testing::ValuesIn(profileNames()));
+
+TEST(GoldenValues, S953PatternStreamFingerprints) {
+  const Netlist nl = generateNamedCircuit("s953");
+  PrpgConfig reseeded;
+  reseeded.seed = PrpgConfig{}.seed + 1;
+  const std::uint64_t defaultSeed = patternFingerprint(nl, generatePatterns(nl, 200));
+  const std::uint64_t nextSeed = patternFingerprint(nl, generatePatterns(nl, 128, reseeded));
+  EXPECT_EQ(defaultSeed, 0xdc5468e6d51bccfULL) << "new fingerprint = 0x" << std::hex << defaultSeed;
+  EXPECT_EQ(nextSeed, 0xf9522000dd6c18ebULL) << "new fingerprint = 0x" << std::hex << nextSeed;
+}
+
+TEST(GoldenValues, FixedSchedulePartitionFingerprints) {
+  struct Expect {
+    SchemeKind scheme;
+    std::size_t chainLength;
+    std::size_t groups;
+    std::uint64_t fingerprint;
+  };
+  const Expect expectations[] = {
+      {SchemeKind::IntervalBased, 211, 8, 0x56f294797b2492acULL},
+      {SchemeKind::RandomSelection, 211, 8, 0x3e2f5702b3e3e542ULL},
+      {SchemeKind::TwoStep, 211, 8, 0x2512a3d148b6c3f3ULL},
+      {SchemeKind::DeterministicInterval, 211, 8, 0x5009f42e89d5b0f5ULL},
+      {SchemeKind::IntervalBased, 1426, 16, 0xc292fbcb014ea6dULL},
+      {SchemeKind::RandomSelection, 1426, 16, 0x442db192981a1826ULL},
+      {SchemeKind::TwoStep, 1426, 16, 0x17588898fb3927f2ULL},
+      {SchemeKind::DeterministicInterval, 1426, 16, 0x1ce5d4fc36c2d913ULL},
+  };
+  for (const Expect& e : expectations) {
+    DiagnosisConfig config;
+    config.scheme = e.scheme;
+    config.groupsPerPartition = e.groups;
+    const std::uint64_t hash = partitionFingerprint(buildPartitions(config, e.chainLength));
+    EXPECT_EQ(hash, e.fingerprint) << schemeName(e.scheme) << " L=" << e.chainLength
+                                   << " b=" << e.groups << ": new fingerprint = 0x" << std::hex
+                                   << hash;
+  }
+}
+
+TEST(GoldenValues, AdaptivePoolFingerprints) {
+  struct Expect {
+    std::size_t cells;
+    std::size_t chains;
+    std::size_t groups;
+    std::uint64_t fingerprint;
+  };
+  const Expect expectations[] = {
+      {211, 1, 8, 0xfdafb11e023c3fb7ULL},
+      {1426, 4, 16, 0xbe7eb6f5361dacffULL},
+  };
+  for (const Expect& e : expectations) {
+    const ScanTopology topology = ScanTopology::blockChains(e.cells, e.chains);
+    DiagnosisConfig config;
+    config.scheme = SchemeKind::Adaptive;
+    config.groupsPerPartition = e.groups;
+    const AdaptivePlanner planner(topology, config);
+    const std::uint64_t hash = partitionFingerprint(planner.pool().partitions());
+    EXPECT_EQ(hash, e.fingerprint) << "cells=" << e.cells << " chains=" << e.chains
+                                   << " b=" << e.groups << ": new fingerprint = 0x" << std::hex
+                                   << hash;
+  }
 }
 
 }  // namespace
