@@ -119,7 +119,7 @@ BENCHMARK(BM_MisrClock);
 
 void BM_RandomPartition(benchmark::State& state) {
   const std::size_t chain = static_cast<std::size_t>(state.range(0));
-  RandomSelectionPartitioner partitioner(RandomSelectionConfig{}, chain, 16);
+  RandomSelectionPartitioner partitioner(kRandomSelectionSeed, chain, 16);
   for (auto _ : state) benchmark::DoNotOptimize(partitioner.next());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(chain));
@@ -128,7 +128,7 @@ BENCHMARK(BM_RandomPartition)->Arg(211)->Arg(6173);
 
 void BM_IntervalPartition(benchmark::State& state) {
   const std::size_t chain = static_cast<std::size_t>(state.range(0));
-  IntervalPartitioner partitioner(IntervalPartitionerConfig{}, chain, 16);
+  IntervalPartitioner partitioner(chain, 16);
   for (auto _ : state) benchmark::DoNotOptimize(partitioner.next());
 }
 BENCHMARK(BM_IntervalPartition)->Arg(211)->Arg(6173);

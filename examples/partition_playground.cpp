@@ -69,16 +69,14 @@ int main(int argc, char** argv) {
   const CandidateAnalyzer analyzer(topology);
 
   // One interval-based partition.
-  IntervalPartitioner interval(IntervalPartitionerConfig{LfsrConfig{16, 0}, 0, 0xBEEF},
-                               topology.maxChainLength(), 4);
+  IntervalPartitioner interval(topology.maxChainLength(), 4);
   const PreparedPartitionSet ip(std::vector<Partition>{interval.next()});
   const GroupVerdicts iv = engine.run(ip, response);
   showPartition("interval-based partitioning (4 groups):", ip[0], iv,
                 analyzer.analyze(ip.partitions(), iv), response);
 
   // One random-selection partition.
-  RandomSelectionPartitioner random(RandomSelectionConfig{LfsrConfig{16, 0}, 0xACE1},
-                                    topology.maxChainLength(), 4);
+  RandomSelectionPartitioner random(kRandomSelectionSeed, topology.maxChainLength(), 4);
   const PreparedPartitionSet rp(std::vector<Partition>{random.next()});
   const GroupVerdicts rv = engine.run(rp, response);
   showPartition("random-selection partitioning (4 groups):", rp[0], rv,

@@ -25,6 +25,11 @@ struct LfsrConfig {
   }
 };
 
+/// The selection LFSR of the paper's BIST controller: one degree-16 register
+/// with primitive taps drives both the random-selection labels and the
+/// interval lengths, on every device.
+inline constexpr LfsrConfig kSelectionLfsr{/*degree=*/16, /*tapMask=*/0};
+
 class Lfsr {
  public:
   /// seed must be nonzero in the low `degree` bits (the all-zero state is the

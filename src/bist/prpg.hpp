@@ -14,8 +14,10 @@
 
 namespace scandiag {
 
+/// The PRPG register: degree 24 with primitive taps, on every device.
+inline constexpr LfsrConfig kPrpgLfsr{/*degree=*/24, /*tapMask=*/0};
+
 struct PrpgConfig {
-  LfsrConfig lfsr{/*degree=*/24, /*tapMask=*/0};
   std::uint64_t seed = 0x5eed;
 };
 

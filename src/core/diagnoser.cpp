@@ -19,7 +19,7 @@ Diagnoser::Diagnoser(Netlist netlist, DiagnoserOptions options)
     : netlist_(std::move(netlist)),
       options_(std::move(options)),
       topology_(makeTopology(netlist_, options_.numChains)),
-      patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns, options_.prpg)),
+      patterns_(generatePatterns(netlist_, options_.diagnosis.numPatterns)),
       faultSim_(netlist_, patterns_),
       pipeline_(topology_, options_.diagnosis) {}
 

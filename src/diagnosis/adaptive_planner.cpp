@@ -37,12 +37,14 @@ std::size_t floorPow2(std::size_t n) {
   return p;
 }
 
-/// Seed of random-selection stream k: the base seed advanced by k odd
-/// strides, masked to the LFSR width and bumped off the stuck all-zero state.
-/// Stream 0 is the base seed itself — identical to the fixed schemes' stream.
-std::uint64_t poolSeed(std::uint64_t base, std::size_t k, unsigned degree) {
-  const std::uint64_t mask = degree >= 64 ? ~0ULL : ((std::uint64_t{1} << degree) - 1);
-  const std::uint64_t s = (base + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k)) & mask;
+/// Seed of random-selection stream k: kRandomSelectionSeed advanced by k odd
+/// strides, masked to the selection LFSR's width and bumped off the stuck
+/// all-zero state. Stream 0 is the base seed itself — identical to the fixed
+/// schemes' stream.
+std::uint64_t poolSeed(std::size_t k) {
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kSelectionLfsr.degree) - 1;
+  const std::uint64_t s =
+      (kRandomSelectionSeed + 0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(k)) & kMask;
   return s == 0 ? 1 : s;
 }
 
@@ -84,20 +86,13 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
     // Enough random candidates per stream that the pool never runs dry before
     // the budget does, whatever the scorer picks.
     const std::size_t maxSteps = std::max<std::size_t>(budget_ / groups, 1);
-    IntervalPartitioner intervals(
-        IntervalPartitionerConfig{config.schemeConfig.lfsr, config.schemeConfig.rlen,
-                                  config.schemeConfig.intervalStartSeed},
-        chainLength, groups);
+    IntervalPartitioner intervals(chainLength, groups);
     for (std::size_t i = 0; i < kIntervalCandidates; ++i) {
       candidates.push_back(intervals.next());
       kinds_.push_back(PoolKind::Interval);
     }
     for (std::size_t k = 0; k < kSeedStreams; ++k) {
-      RandomSelectionPartitioner randoms(
-          RandomSelectionConfig{
-              config.schemeConfig.lfsr,
-              poolSeed(config.schemeConfig.randomSeed, k, config.schemeConfig.lfsr.degree)},
-          chainLength, groups);
+      RandomSelectionPartitioner randoms(poolSeed(k), chainLength, groups);
       for (std::size_t i = 0; i < maxSteps; ++i) {
         candidates.push_back(randoms.next());
         kinds_.push_back(PoolKind::Random);

@@ -116,8 +116,7 @@ CheckedAnalysis CandidateAnalyzer::analyzeChecked(const std::vector<Partition>& 
 }
 
 UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& partitions,
-                                              const GroupVerdicts& verdicts,
-                                              std::size_t maxFaults) const {
+                                              const GroupVerdicts& verdicts) const {
   SCANDIAG_REQUIRE(partitions.size() == verdicts.failing.size(),
                    "verdicts do not match partitions");
   const std::size_t length = topology_->maxChainLength();
@@ -140,7 +139,7 @@ UnionAnalysis CandidateAnalyzer::analyzeUnion(const std::vector<Partition>& part
   }
 
   out.clusters = out.clusterPositions.size();
-  out.withinBudget = out.clusters <= maxFaults;
+  out.withinBudget = out.clusters <= kMaxUnionFaults;
   out.candidates.positions = BitVector(length);
   for (const BitVector& cluster : out.clusterPositions) out.candidates.positions |= cluster;
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);

@@ -129,8 +129,10 @@ std::uint64_t sweepIdFor(const DiagnosisConfig& config) {
   d = setupDigestPiece("pruning", config.pruning ? 1 : 0, d);
   d = setupDigestPiece("patterns", config.numPatterns, d);
   d = setupDigestPiece("misr_degree", config.misrDegree, d);
-  d = setupDigestPiece("misr_taps", config.misrTapMask, d);
-  d = setupDigestPiece("prune_degree", config.pruneDegree, d);
+  // The MISR tap mask (0 = primitive) and the prune width are constants; they
+  // stay in the digest so journals that recorded them keep their sweep ids.
+  d = setupDigestPiece("misr_taps", std::uint64_t{0}, d);
+  d = setupDigestPiece("prune_degree", kPruneDegree, d);
   return d;
 }
 

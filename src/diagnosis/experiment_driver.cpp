@@ -18,9 +18,7 @@ SessionConfig sessionConfigFor(const DiagnosisConfig& config) {
   sc.mode = config.mode;
   sc.numPatterns = config.numPatterns;
   sc.misrDegree = config.misrDegree;
-  sc.misrTapMask = config.misrTapMask;
   sc.computeSignatures = config.pruning;
-  sc.pruneDegree = config.pruneDegree;
   sc.scorer = config.batchedScoring ? SessionScorer::Batched : SessionScorer::PerSession;
   return sc;
 }
@@ -186,7 +184,7 @@ FaultDiagnosis DiagnosisPipeline::sampledLadder(const FaultInput& input) const {
   // unsound — take the superset floor across every observed session, a
   // guaranteed superset of everything that manifested by construction.
   const UnionAnalysis unions =
-      analyzer_.analyzeUnion(allPartitions, all, recovery_.policy().maxUnionFaults);
+      analyzer_.analyzeUnion(allPartitions, all);
   if (unions.clusters > 1) {
     out.unionSplits = unions.clusters - 1;
     obs::count(obs::Counter::UnionSplits, out.unionSplits);
@@ -379,7 +377,7 @@ std::vector<FaultResponse> sampleDetectedFaults(const FaultSimulator& sim,
 CircuitWorkload prepareWorkload(const Netlist& netlist, const WorkloadConfig& config,
                                 std::size_t numChains) {
   SCANDIAG_REQUIRE(!netlist.dffs().empty(), "workload circuit has no scan cells");
-  const PatternSet patterns = generatePatterns(netlist, config.numPatterns, config.prpg);
+  const PatternSet patterns = generatePatterns(netlist, config.numPatterns);
   CircuitWorkload out;
   out.topology =
       ScanTopology::blockChains(netlist.dffs().size(), std::max<std::size_t>(numChains, 1));

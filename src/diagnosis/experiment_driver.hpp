@@ -51,8 +51,6 @@ struct DiagnosisConfig {
   bool pruning = false;
   std::size_t numPatterns = 128;
   unsigned misrDegree = 16;
-  std::uint64_t misrTapMask = 0;
-  unsigned pruneDegree = 32;
   /// False forces the per-session reference scorer everywhere (parity tests,
   /// A/B benches); the diagnosis output is bit-identical either way.
   bool batchedScoring = true;
@@ -219,7 +217,6 @@ struct WorkloadConfig {
   std::size_t numPatterns = 128;
   std::size_t numFaults = 500;
   std::uint64_t faultSeed = 0xFA17;
-  PrpgConfig prpg{};
 };
 
 struct CircuitWorkload {

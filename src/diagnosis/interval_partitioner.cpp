@@ -5,18 +5,12 @@
 
 namespace scandiag {
 
-IntervalPartitioner::IntervalPartitioner(const IntervalPartitionerConfig& config,
-                                         std::size_t chainLength, std::size_t groupCount)
-    : config_(config.lfsr),
-      chainLength_(chainLength),
-      groupCount_(groupCount),
-      nextSeed_(config.startSeed) {
+IntervalPartitioner::IntervalPartitioner(std::size_t chainLength, std::size_t groupCount)
+    : chainLength_(chainLength), groupCount_(groupCount) {
   SCANDIAG_REQUIRE(chainLength >= 1, "empty scan chain");
   SCANDIAG_REQUIRE(groupCount >= 1 && groupCount <= chainLength,
                    "group count must be in [1, chain length]");
-  rlen_ = config.rlen ? config.rlen
-                      : defaultIntervalBits(chainLength, groupCount, config_.degree);
-  SCANDIAG_REQUIRE(rlen_ <= config_.degree, "interval field exceeds LFSR degree");
+  rlen_ = defaultIntervalBits(chainLength, groupCount, kSelectionLfsr.degree);
 }
 
 Partition IntervalPartitioner::fromLengths(const std::vector<std::size_t>& lengths,
@@ -37,7 +31,7 @@ Partition IntervalPartitioner::fromLengths(const std::vector<std::size_t>& lengt
 Partition IntervalPartitioner::next() {
   obs::PhaseScope phase(obs::Phase::PartitionGen);
   obs::count(obs::Counter::PartitionsGenerated);
-  auto seed = findIntervalSeed(config_, rlen_, groupCount_, chainLength_, nextSeed_);
+  auto seed = findIntervalSeed(kSelectionLfsr, rlen_, groupCount_, chainLength_, nextSeed_);
   SCANDIAG_REQUIRE(seed.has_value(),
                    "no covering interval seed for this chain/group configuration");
   nextSeed_ = seed->seed + 1;

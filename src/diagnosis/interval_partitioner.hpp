@@ -16,19 +16,15 @@
 
 namespace scandiag {
 
-struct IntervalPartitionerConfig {
-  LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
-  /// Interval-length field width; 0 = defaultIntervalBits(chain, groups).
-  unsigned rlen = 0;
-  /// Seed-search starting point; successive partitions take successive
-  /// covering seeds.
-  std::uint64_t startSeed = 0xBEEF;
-};
+/// Seed-search starting point of the precomputed IVR seeds; successive
+/// partitions take successive covering seeds.
+inline constexpr std::uint64_t kIntervalStartSeed = 0xBEEF;
 
 class IntervalPartitioner final : public PartitionScheme {
  public:
-  IntervalPartitioner(const IntervalPartitionerConfig& config, std::size_t chainLength,
-                      std::size_t groupCount);
+  /// Reads interval lengths from kSelectionLfsr in fields of
+  /// defaultIntervalBits(chainLength, groupCount) bits.
+  IntervalPartitioner(std::size_t chainLength, std::size_t groupCount);
 
   Partition next() override;
   std::string name() const override { return "interval-based"; }
@@ -43,11 +39,10 @@ class IntervalPartitioner final : public PartitionScheme {
                                std::size_t chainLength);
 
  private:
-  LfsrConfig config_;
   std::size_t chainLength_;
   std::size_t groupCount_;
   unsigned rlen_;
-  std::uint64_t nextSeed_;
+  std::uint64_t nextSeed_ = kIntervalStartSeed;
   std::vector<IntervalSeedResult> used_;
 };
 

@@ -7,16 +7,16 @@
 
 namespace scandiag {
 
-RandomSelectionPartitioner::RandomSelectionPartitioner(const RandomSelectionConfig& config,
+RandomSelectionPartitioner::RandomSelectionPartitioner(std::uint64_t seed,
                                                        std::size_t chainLength,
                                                        std::size_t groupCount)
-    : config_(config.lfsr), chainLength_(chainLength), groupCount_(groupCount) {
+    : chainLength_(chainLength), groupCount_(groupCount) {
   SCANDIAG_REQUIRE(chainLength >= 1, "empty scan chain");
   SCANDIAG_REQUIRE(groupCount >= 2 && std::has_single_bit(groupCount),
                    "group count must be a power of two >= 2");
   r_ = static_cast<unsigned>(std::countr_zero(groupCount));
-  SCANDIAG_REQUIRE(r_ <= config_.degree, "label width exceeds LFSR degree");
-  Lfsr check(config_, config.seed);
+  SCANDIAG_REQUIRE(r_ <= kSelectionLfsr.degree, "label width exceeds LFSR degree");
+  Lfsr check(kSelectionLfsr, seed);
   ivr_ = check.state();
 }
 
@@ -25,7 +25,7 @@ Partition RandomSelectionPartitioner::next() {
   obs::count(obs::Counter::PartitionsGenerated);
   Partition p;
   p.groups.assign(groupCount_, BitVector(chainLength_));
-  Lfsr lfsr(config_, ivr_);
+  Lfsr lfsr(kSelectionLfsr, ivr_);
   for (std::size_t pos = 0; pos < chainLength_; ++pos) {
     p.groups[lfsr.lowBits(r_)].set(pos);
     lfsr.step();

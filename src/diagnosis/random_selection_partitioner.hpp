@@ -15,25 +15,20 @@
 
 namespace scandiag {
 
-struct RandomSelectionConfig {
-  LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
-  std::uint64_t seed = 0xACE1;
-};
+/// The IVR seed of the fixed schemes' random-selection step.
+inline constexpr std::uint64_t kRandomSelectionSeed = 0xACE1;
 
 class RandomSelectionPartitioner final : public PartitionScheme {
  public:
-  /// groupCount must be a power of two (the label is a bit field).
-  RandomSelectionPartitioner(const RandomSelectionConfig& config, std::size_t chainLength,
+  /// Labels positions from kSelectionLfsr started at `seed`. groupCount
+  /// must be a power of two (the label is a bit field).
+  RandomSelectionPartitioner(std::uint64_t seed, std::size_t chainLength,
                              std::size_t groupCount);
 
   Partition next() override;
   std::string name() const override { return "random-selection"; }
 
-  unsigned labelWidth() const { return r_; }
-  std::uint64_t currentIvr() const { return ivr_; }
-
  private:
-  LfsrConfig config_;
   std::size_t chainLength_;
   std::size_t groupCount_;
   unsigned r_;

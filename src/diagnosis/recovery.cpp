@@ -109,7 +109,7 @@ RecoveredDiagnosis DiagnosisRecovery::recover(const std::vector<Partition>& part
     out.deterministicPartitions = deterministic.size();
     out.unionDiagnosis = true;
     UnionAnalysis analysis =
-        analyzer_.analyzeUnion(partitions, repaired, policy_.maxUnionFaults);
+        analyzer_.analyzeUnion(partitions, repaired);
     out.unionClusters = analysis.clusters;
     if (analysis.clusters > 1) {
       obs::count(obs::Counter::UnionSplits, analysis.clusters - 1);

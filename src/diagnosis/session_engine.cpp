@@ -26,11 +26,8 @@ SessionEngine::SessionEngine(const ScanTopology& topology, const SessionConfig& 
 const MisrLinearModel& SessionEngine::model() const {
   std::call_once(modelOnce_, [this] {
     const unsigned degree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
-    const std::uint64_t taps =
-        config_.mode == SignatureMode::Misr && config_.misrTapMask
-            ? config_.misrTapMask
-            : primitiveTapMask(degree);
+        config_.mode == SignatureMode::Misr ? config_.misrDegree : kPruneDegree;
+    const std::uint64_t taps = primitiveTapMask(degree);
     const std::size_t totalCycles = config_.numPatterns * topology_->maxChainLength();
     const std::size_t lines =
         config_.compactor ? config_.compactor->outputLines() : topology_->numChains();
@@ -177,7 +174,7 @@ GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
   if (needSignatures) {
     verdicts.hasSignatures = true;
     verdicts.signatureDegree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
+        config_.mode == SignatureMode::Misr ? config_.misrDegree : kPruneDegree;
     verdicts.errorSig.reserve(prepared.size());
   }
 
@@ -271,7 +268,7 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
   if (needSignatures) {
     verdicts.hasSignatures = true;
     verdicts.signatureDegree =
-        config_.mode == SignatureMode::Misr ? config_.misrDegree : config_.pruneDegree;
+        config_.mode == SignatureMode::Misr ? config_.misrDegree : kPruneDegree;
     verdicts.errorSig.reserve(numPartitions);
   }
   for (std::size_t p = 0; p < numPartitions; ++p) {

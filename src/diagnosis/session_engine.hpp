@@ -60,17 +60,19 @@ enum class SessionScorer {
   PerSession,  // per-group reference evaluation (parity oracle)
 };
 
+/// Signature width used for pruning in Exact mode (wider = less chance of
+/// pruning away a true failing cell by XOR cancellation). Every signature
+/// register, this one and the verdict MISR, uses the primitive polynomial of
+/// its degree (primitiveTapMask).
+inline constexpr unsigned kPruneDegree = 32;
+
 struct SessionConfig {
   SignatureMode mode = SignatureMode::Exact;
   std::size_t numPatterns = 128;
-  /// Verdict MISR (mode == Misr).
+  /// Verdict MISR degree (mode == Misr).
   unsigned misrDegree = 16;
-  std::uint64_t misrTapMask = 0;  // 0 = primitive polynomial of misrDegree
   /// Compute per-group error signatures for the superposition pruner.
   bool computeSignatures = false;
-  /// Signature width used for pruning in Exact mode (wider = less chance of
-  /// pruning away a true failing cell by XOR cancellation).
-  unsigned pruneDegree = 32;
   /// Optional space compactor between the scan-out lines and the MISR (must
   /// outlive the engine). Null = one MISR input per chain.
   const SpaceCompactor* compactor = nullptr;

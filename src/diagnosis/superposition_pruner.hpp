@@ -15,7 +15,7 @@
 // atom's true aggregate signature is zero. That can hide a failing cell only
 // if two or more failing cells in one atom have XOR-cancelling signatures —
 // probability ~2^-degree per pair, which is why Exact-mode pruning defaults
-// to a 32-bit side register (SessionConfig::pruneDegree).
+// to a 32-bit side register (kPruneDegree).
 #pragma once
 
 #include "bist/scan_topology.hpp"

@@ -48,11 +48,10 @@ struct AdaptivePoolConfig {
   bool forceFixedOrder = false;
 };
 
+/// The selection hardware (kSelectionLfsr, kIntervalStartSeed,
+/// kRandomSelectionSeed) is fixed silicon; these are the scheme's only
+/// settings.
 struct SchemeConfig {
-  LfsrConfig lfsr{/*degree=*/16, /*tapMask=*/0};
-  std::uint64_t randomSeed = 0xACE1;
-  std::uint64_t intervalStartSeed = 0xBEEF;
-  unsigned rlen = 0;  // 0 = auto
   /// Partitions taken from the interval step before switching to random
   /// selection (the paper uses 1 in its simulations).
   std::size_t intervalPartitions = 1;

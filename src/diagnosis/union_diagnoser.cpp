@@ -63,12 +63,12 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
   const std::function<void(std::size_t, std::size_t, bool)> visit =
       [&](std::size_t vlo, std::size_t vhi, bool knownFailing) {
         if (!knownFailing) {
-          if (out.sessions >= config_.sessionBudget) {
+          if (out.sessions >= sessionBudget_) {
             setRange(out.unresolved, vlo, vhi);
             return;
           }
           ++out.sessions;
-          if (!oracle(vlo, vhi, 0)) {
+          if (!oracle(vlo, vhi)) {
             setRange(out.exonerated, vlo, vhi);
             return;
           }
@@ -88,12 +88,12 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
         const std::size_t qhi = rightFirst ? vhi : mid;
         const std::size_t olo = rightFirst ? vlo : mid;
         const std::size_t ohi = rightFirst ? mid : vhi;
-        if (out.sessions >= config_.sessionBudget) {
+        if (out.sessions >= sessionBudget_) {
           setRange(out.unresolved, vlo, vhi);
           return;
         }
         ++out.sessions;
-        if (oracle(qlo, qhi, 0)) {
+        if (oracle(qlo, qhi)) {
           visit(qlo, qhi, /*knownFailing=*/true);
           visit(olo, ohi, /*knownFailing=*/false);
         } else {
@@ -109,7 +109,7 @@ UnionRefinement UnionDiagnoser::refine(const BitVector& candidatePositions,
   out.candidates.cells = topology_->expandPositions(out.candidates.positions);
   out.complete = out.unresolved.none();
   out.failingClusters = countClusters(out.confirmed);
-  out.withinFaultBudget = out.failingClusters <= config_.maxFaults;
+  out.withinFaultBudget = out.failingClusters <= kMaxUnionFaults;
   out.cost = repeatedSessionsCost(out.sessions, numPatterns_, topology_->maxChainLength());
   return out;
 }

@@ -26,8 +26,8 @@
 //    strength of a passing session, so the result remains a sound superset
 //    (degrade-never-lie), just less sharp.
 //
-// The oracle abstracts the tester: oracle(lo, hi, attempt) is the verdict of
-// one session observing selection positions [lo, hi). Sessions are charged
+// The oracle abstracts the tester: oracle(lo, hi) is the verdict of one
+// session observing selection positions [lo, hi). Sessions are charged
 // at the standard CostModel rate.
 #pragma once
 
@@ -39,14 +39,6 @@
 #include "diagnosis/cost_model.hpp"
 
 namespace scandiag {
-
-struct UnionRefineConfig {
-  /// Interval sessions the refinement may spend (0 = passive result only).
-  std::size_t sessionBudget = 96;
-  /// Simultaneous-fault budget: more isolated failing clusters than this
-  /// marks the result degraded (k exceeded the resolvable budget).
-  std::size_t maxFaults = 4;
-};
 
 struct UnionRefinement {
   /// Positions confirmed failing by a width-1 failing session (or inference).
@@ -66,7 +58,8 @@ struct UnionRefinement {
   std::size_t failingClusters = 0;
   /// Budget sufficed: every candidate position was confirmed or exonerated.
   bool complete = false;
-  /// failingClusters <= maxFaults.
+  /// failingClusters <= kMaxUnionFaults; more clusters mark the result
+  /// degraded (k exceeded the resolvable budget).
   bool withinFaultBudget = true;
   DiagnosisCost cost;
 
@@ -75,11 +68,11 @@ struct UnionRefinement {
 
 class UnionDiagnoser {
  public:
-  UnionDiagnoser(const ScanTopology& topology, const UnionRefineConfig& config,
+  /// `sessionBudget` bounds the interval sessions refinement may spend
+  /// (0 = passive result only).
+  UnionDiagnoser(const ScanTopology& topology, std::size_t sessionBudget,
                  std::size_t numPatterns)
-      : topology_(&topology), config_(config), numPatterns_(numPatterns) {}
-
-  const UnionRefineConfig& config() const { return config_; }
+      : topology_(&topology), sessionBudget_(sessionBudget), numPatterns_(numPatterns) {}
 
   /// Refines `candidatePositions` (selection axis) against the oracle.
   /// `adiPrior` (size maxChainLength, or empty for uniform) orders segments;
@@ -90,7 +83,7 @@ class UnionDiagnoser {
 
  private:
   const ScanTopology* topology_;
-  UnionRefineConfig config_;
+  std::size_t sessionBudget_;
   std::size_t numPatterns_;
 };
 

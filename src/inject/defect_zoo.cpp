@@ -29,6 +29,8 @@ constexpr std::uint64_t kPartitionMix = 0x27d4eb2f165667c5ULL;
 
 constexpr std::size_t kPoolSize = 256;     // bridge / open candidate pools
 constexpr std::size_t kMaxDrawTries = 64;  // draws per component before giving up
+/// PODEM backtracks per stall-breaker target before it counts as aborted.
+constexpr std::size_t kAtpgBacktrackLimit = 2000;
 
 double parseProbability(const std::string& token) {
   std::size_t consumed = 0;
@@ -287,9 +289,7 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
                                      const DiagnosisConfig& config, const DefectPolicy& policy)
     : sim_(&simulator),
       base_(topology, config, NoiseConfig{}, policy.retry),
-      refiner_(topology,
-               UnionRefineConfig{policy.refineSessionBudget, policy.retry.maxUnionFaults},
-               simulator.patterns().numPatterns()),
+      refiner_(topology, policy.refineSessionBudget, simulator.patterns().numPatterns()),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
       atpg_(policy.atpgSessionBudget > 0 ? std::make_unique<PodemAtpg>(simulator.netlist())
@@ -324,7 +324,6 @@ void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d
   const FaultResponse& response = scenario.composed;
   const ScanTopology& topology = base_.topology();
   const std::size_t chainLength = topology.maxChainLength();
-  const std::size_t maxFaults = policy_.retry.maxUnionFaults;
   bool degraded = !d.resolved;
   // Recovery counts DegradedSupersets itself on the over-budget union path;
   // remember so the final accounting does not double-count.
@@ -336,7 +335,7 @@ void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d
   std::size_t clusters = d.unionClusters > 0 ? d.unionClusters : 1;
   if (policy_.refineSessionBudget > 0 && d.candidates.positions.any()) {
     const BitVector truePositions = topology.collapseCells(response.failingCells);
-    const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi, std::size_t) {
+    const IntervalOracle oracle = [&](std::size_t lo, std::size_t hi) {
       for (std::size_t p = lo; p < hi; ++p) {
         if (truePositions.test(p)) return true;
       }
@@ -372,7 +371,7 @@ void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d
           const GateId dff = dffs.at(topology.chain(chain)[pos]);
           for (const bool stuckAt : {false, true}) {
             const AtpgResult result =
-                atpg_->generate(FaultSite{dff, 0, stuckAt}, policy_.atpgBacktrackLimit);
+                atpg_->generate(FaultSite{dff, 0, stuckAt}, kAtpgBacktrackLimit);
             if (result.outcome == AtpgOutcome::Detected) cubes.push_back(result.cube);
           }
         }
@@ -408,12 +407,12 @@ void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d
     // Cluster accounting over everything confirmed failing (refinement +
     // ATPG confirmations).
     clusters = countClusters(confirmed);
-    if (unresolvedLeft > 0 || clusters > maxFaults) degraded = true;
+    if (unresolvedLeft > 0 || clusters > kMaxUnionFaults) degraded = true;
   }
 
   // Degrade: confidence decays with every cluster over budget and every
   // position left unresolved.
-  if (clusters > maxFaults) d.confidence *= 0.5;
+  if (clusters > kMaxUnionFaults) d.confidence *= 0.5;
   if (unresolvedLeft > 0) d.confidence *= std::pow(0.97, static_cast<double>(unresolvedLeft));
   d.confidence = std::clamp(d.confidence, kConfidenceFloor, 1.0);
 

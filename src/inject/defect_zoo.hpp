@@ -141,15 +141,13 @@ class DefectScenarioGenerator {
 };
 
 struct DefectPolicy {
-  /// Recovery budget of the ladder; maxUnionFaults also bounds the clusters
-  /// of refinement and of the intermittent superset floor.
-  RetryPolicy retry{/*maxRetriesPerSession=*/2, /*sessionBudget=*/256,
-                    /*maxUnionFaults=*/4};
+  /// Recovery budget of the ladder. kMaxUnionFaults bounds the clusters of
+  /// recovery, refinement and the intermittent superset floor alike.
+  RetryPolicy retry{/*maxRetriesPerSession=*/2, /*sessionBudget=*/256};
   /// Active-refinement interval sessions per scenario (0 disables).
   std::size_t refineSessionBudget = 96;
   /// PODEM mini-sessions per scenario when refinement stalls (0 disables).
   std::size_t atpgSessionBudget = 16;
-  std::size_t atpgBacktrackLimit = 2000;
   /// Full-schedule samples for intermittent scenarios (>= 1).
   std::size_t intermittentSamples = 3;
 };

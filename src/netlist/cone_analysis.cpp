@@ -50,29 +50,4 @@ FaultCone computeCone(const Netlist& netlist, const Levelization& lev, GateId si
   return cone;
 }
 
-ConeSpan coneSpan(const FaultCone& cone, const std::vector<std::size_t>& cellOrder,
-                  std::size_t chainLength) {
-  SCANDIAG_REQUIRE(cellOrder.size() == cone.reachableDffs.size(),
-                   "cell order size must match DFF count");
-  ConeSpan span;
-  bool first = true;
-  for (std::size_t k = cone.reachableDffs.findFirst(); k != BitVector::npos;
-       k = cone.reachableDffs.findNext(k)) {
-    const std::size_t pos = cellOrder[k];
-    if (first) {
-      span.firstPos = span.lastPos = pos;
-      first = false;
-    } else {
-      span.firstPos = std::min(span.firstPos, pos);
-      span.lastPos = std::max(span.lastPos, pos);
-    }
-    ++span.cells;
-  }
-  if (span.cells > 0 && chainLength > 0) {
-    span.spanFraction =
-        static_cast<double>(span.lastPos - span.firstPos + 1) / static_cast<double>(chainLength);
-  }
-  return span;
-}
-
 }  // namespace scandiag

@@ -32,18 +32,4 @@ struct FaultCone {
 /// a source gate the cone is its combinational fanout).
 FaultCone computeCone(const Netlist& netlist, const Levelization& lev, GateId site);
 
-/// Span statistics of a cone's captured cells along an ordering of the DFFs
-/// (cellOrder[k] = chain position of DFF ordinal k): min/max position and
-/// count, quantifying the "clustered failing cells" phenomenon of the paper.
-struct ConeSpan {
-  std::size_t cells = 0;
-  std::size_t firstPos = 0;
-  std::size_t lastPos = 0;
-  /// (lastPos - firstPos + 1) / chainLength; 0 when no cell is reachable.
-  double spanFraction = 0.0;
-};
-
-ConeSpan coneSpan(const FaultCone& cone, const std::vector<std::size_t>& cellOrder,
-                  std::size_t chainLength);
-
 }  // namespace scandiag

@@ -55,21 +55,4 @@ ScanTopology coreLocalTopology(std::size_t cellCount, std::size_t tamWidth) {
   return ScanTopology::fromChains(std::move(chains));
 }
 
-CoreSpan coreSpanOnMetaChains(const std::vector<std::size_t>& cellCounts, std::size_t tamWidth,
-                              std::size_t coreIndex) {
-  SCANDIAG_REQUIRE(coreIndex < cellCounts.size(), "core index out of range");
-  SCANDIAG_REQUIRE(cellCounts[coreIndex] > 0, "core has no scan cells");
-  CoreSpan span{static_cast<std::size_t>(-1), 0};
-  for (std::size_t c = 0; c < tamWidth; ++c) {
-    std::size_t start = 0;
-    for (std::size_t k = 0; k < coreIndex; ++k)
-      start += subChainLength(cellCounts[k], tamWidth, c);
-    const std::size_t len = subChainLength(cellCounts[coreIndex], tamWidth, c);
-    if (len == 0) continue;
-    span.firstPosition = std::min(span.firstPosition, start);
-    span.lastPosition = std::max(span.lastPosition, start + len - 1);
-  }
-  return span;
-}
-
 }  // namespace scandiag

@@ -21,15 +21,6 @@ namespace scandiag {
 /// topology over all cells.
 ScanTopology buildMetaChains(const std::vector<std::size_t>& cellCounts, std::size_t tamWidth);
 
-/// Shift-position interval [first, last] occupied by core k on the meta
-/// chains (for reporting and tests).
-struct CoreSpan {
-  std::size_t firstPosition;
-  std::size_t lastPosition;
-};
-CoreSpan coreSpanOnMetaChains(const std::vector<std::size_t>& cellCounts, std::size_t tamWidth,
-                              std::size_t coreIndex);
-
 /// The topology one core contributes to a W-bit TAM, in *local* cell ids:
 /// the same W balanced sub-chains buildMetaChains would thread through it
 /// (empty sub-chains dropped). Every instance of a structural class yields

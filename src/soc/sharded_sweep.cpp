@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <stdexcept>
 
 #include "bist/prpg.hpp"
@@ -18,11 +19,14 @@ SocShardSpec parseShardSpec(const std::string& text) {
   if (slash == std::string::npos || slash == 0 || slash + 1 == text.size()) {
     throw std::invalid_argument("bad shard spec '" + text + "': expected i/N (0-based)");
   }
+  // Each number must fill its whole field: no sign, spaces or trailing text.
   SocShardSpec spec;
-  try {
-    spec.index = static_cast<std::uint32_t>(std::stoul(text.substr(0, slash)));
-    spec.count = static_cast<std::uint32_t>(std::stoul(text.substr(slash + 1)));
-  } catch (const std::exception&) {
+  const char* const begin = text.data();
+  const char* const end = begin + text.size();
+  const auto index = std::from_chars(begin, begin + slash, spec.index);
+  const auto count = std::from_chars(begin + slash + 1, end, spec.count);
+  if (index.ec != std::errc{} || index.ptr != begin + slash || count.ec != std::errc{} ||
+      count.ptr != end) {
     throw std::invalid_argument("bad shard spec '" + text + "': not numbers");
   }
   if (spec.count == 0 || spec.index >= spec.count) {
@@ -97,13 +101,13 @@ SocSweepResult runSocClassSweep(const Soc& soc, const WorkloadConfig& workload,
     // Class-keyed seeds: every instance of the class — in any SOC — gets the
     // same patterns and fault sample, which is what makes one evaluation
     // transferable to all siblings.
-    WorkloadConfig local = workload;
-    local.prpg.seed = workload.prpg.seed ^ fnv1a64(plan.hash, 0x9e3779b97f4a7c15ULL);
-    local.faultSeed = workload.faultSeed ^ fnv1a64(plan.hash, 0xc2b2ae3d27d4eb4fULL);
+    const PrpgConfig prpg{PrpgConfig{}.seed ^ fnv1a64(plan.hash, 0x9e3779b97f4a7c15ULL)};
+    const std::uint64_t faultSeed =
+        workload.faultSeed ^ fnv1a64(plan.hash, 0xc2b2ae3d27d4eb4fULL);
 
-    const PatternSet patterns = generatePatterns(*rep.netlist, local.numPatterns, local.prpg);
+    const PatternSet patterns = generatePatterns(*rep.netlist, workload.numPatterns, prpg);
     const std::vector<FaultResponse> responses = sampleDetectedFaults(
-        FaultSimulator(*rep.netlist, patterns), local.numFaults, local.faultSeed);
+        FaultSimulator(*rep.netlist, patterns), workload.numFaults, faultSeed);
 
     // Diagnosis runs on the class's core-local topology — identical for
     // every sibling, so partitions, group tables, and verdicts transfer. A

@@ -1,6 +1,8 @@
 #include "soc/soc_builder.hpp"
 
+#include <charconv>
 #include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -23,10 +25,20 @@ Soc assembleSoc(const std::string& socName, std::vector<CoreInstance> cores,
   return Soc(socName, std::move(cores), buildMetaChains(cellCounts, tamWidth));
 }
 
+/// All of `text` as a decimal count; nullopt on a sign, spaces, trailing
+/// characters, an empty field or overflow.
+std::optional<std::size_t> parseCount(const std::string& text) {
+  std::size_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 Soc buildSocFromModules(const std::string& socName, const std::vector<std::string>& modules,
-                        std::size_t tamWidth, const GeneratorOptions& options) {
+                        std::size_t tamWidth) {
   // Arena: one generated netlist per distinct module name; repeated names
   // alias it (the generator is deterministic, so the dedup is exact).
   std::map<std::string, std::shared_ptr<const Netlist>> arena;
@@ -35,7 +47,7 @@ Soc buildSocFromModules(const std::string& socName, const std::vector<std::strin
   for (const std::string& m : modules) {
     auto it = arena.find(m);
     if (it == arena.end()) {
-      it = arena.emplace(m, std::make_shared<const Netlist>(generateNamedCircuit(m, options)))
+      it = arena.emplace(m, std::make_shared<const Netlist>(generateNamedCircuit(m)))
                .first;
     }
     cores.push_back(CoreInstance{m, it->second, 0});
@@ -43,19 +55,19 @@ Soc buildSocFromModules(const std::string& socName, const std::vector<std::strin
   return assembleSoc(socName, std::move(cores), tamWidth);
 }
 
-Soc buildSoc1(const GeneratorOptions& options) {
-  return buildSocFromModules("soc1", sixLargestIscas89(), /*tamWidth=*/1, options);
+Soc buildSoc1() {
+  return buildSocFromModules("soc1", sixLargestIscas89(), /*tamWidth=*/1);
 }
 
-Soc buildD695(const GeneratorOptions& options, std::size_t tamWidth) {
-  return buildSocFromModules("d695", d695Iscas89Modules(), tamWidth, options);
+Soc buildD695() {
+  return buildSocFromModules("d695", d695Iscas89Modules(), /*tamWidth=*/8);
 }
 
 Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
-                       std::size_t tamWidth, const GeneratorOptions& options) {
+                       std::size_t tamWidth) {
   SCANDIAG_REQUIRE(replication >= 1, "replication must be >= 1");
   const auto shared =
-      std::make_shared<const Netlist>(generateNamedCircuit(module, options));
+      std::make_shared<const Netlist>(generateNamedCircuit(module));
   std::vector<CoreInstance> cores;
   cores.reserve(replication);
   for (std::size_t k = 0; k < replication; ++k) {
@@ -65,9 +77,9 @@ Soc buildReplicatedSoc(const std::string& module, std::size_t replication,
                      tamWidth);
 }
 
-Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options) {
-  if (spec == "soc1") return buildSoc1(options);
-  if (spec == "d695") return buildD695(options);
+Soc buildSocFromSpec(const std::string& spec) {
+  if (spec == "soc1") return buildSoc1();
+  if (spec == "d695") return buildD695();
   if (spec.rfind("rep:", 0) == 0) {
     // rep:<module>x<R>[:w<W>]
     std::string body = spec.substr(4);
@@ -78,7 +90,11 @@ Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options) {
       if (w.size() < 2 || w[0] != 'w') {
         throw std::invalid_argument("bad SOC spec '" + spec + "': expected ':w<W>' suffix");
       }
-      tamWidth = std::stoul(w.substr(1));
+      const std::optional<std::size_t> width = parseCount(w.substr(1));
+      if (!width || *width == 0) {
+        throw std::invalid_argument("bad SOC spec '" + spec + "': TAM width must be a number >= 1");
+      }
+      tamWidth = *width;
       body = body.substr(0, colon);
     }
     const std::size_t x = body.rfind('x');
@@ -87,16 +103,14 @@ Soc buildSocFromSpec(const std::string& spec, const GeneratorOptions& options) {
                                   "': expected rep:<module>x<R>[:w<W>]");
     }
     const std::string module = body.substr(0, x);
-    std::size_t replication = 0;
-    try {
-      replication = std::stoul(body.substr(x + 1));
-    } catch (const std::exception&) {
+    const std::optional<std::size_t> replication = parseCount(body.substr(x + 1));
+    if (!replication) {
       throw std::invalid_argument("bad SOC spec '" + spec + "': replication is not a number");
     }
-    if (replication == 0) {
+    if (*replication == 0) {
       throw std::invalid_argument("bad SOC spec '" + spec + "': replication must be >= 1");
     }
-    return buildReplicatedSoc(module, replication, tamWidth, options);
+    return buildReplicatedSoc(module, *replication, tamWidth);
   }
   throw std::invalid_argument("unknown SOC spec '" + spec +
                               "' (expected soc1, d695, or rep:<module>x<R>[:w<W>])");

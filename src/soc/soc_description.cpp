@@ -163,13 +163,12 @@ std::string writeSocDescription(const SocDescription& description) {
   return os.str();
 }
 
-Soc buildSocFromDescription(const SocDescription& description,
-                            const GeneratorOptions& options) {
+Soc buildSocFromDescription(const SocDescription& description) {
   std::vector<CoreInstance> cores;
   std::vector<std::size_t> cellCounts;
   std::size_t offset = 0;
   // Arena: instances referencing the same library profile share one netlist
-  // (generateCircuit is deterministic in (profile, options)).
+  // (generateCircuit is deterministic in the profile).
   std::map<std::string, std::shared_ptr<const Netlist>> arena;
   for (const CoreDescription& cd : description.cores) {
     CoreInstance core;
@@ -178,7 +177,7 @@ Soc buildSocFromDescription(const SocDescription& description,
     if (it == arena.end()) {
       it = arena
                .emplace(cd.profile.name,
-                        std::make_shared<const Netlist>(generateCircuit(cd.profile, options)))
+                        std::make_shared<const Netlist>(generateCircuit(cd.profile)))
                .first;
     }
     core.netlist = it->second;

@@ -11,13 +11,12 @@ std::vector<FaultResponse> socResponsesForFailingCore(const Soc& soc, std::size_
   SCANDIAG_REQUIRE(coreIndex < soc.coreCount(), "core index out of range");
   const CoreInstance& core = soc.core(coreIndex);
 
-  WorkloadConfig local = config;
-  local.prpg.seed = config.prpg.seed ^ (0x9e3779b97f4a7c15ULL * (coreIndex + 1));
-  local.faultSeed = config.faultSeed ^ (0xc2b2ae3d27d4eb4fULL * (coreIndex + 1));
+  const PrpgConfig prpg{PrpgConfig{}.seed ^ (0x9e3779b97f4a7c15ULL * (coreIndex + 1))};
+  const std::uint64_t faultSeed = config.faultSeed ^ (0xc2b2ae3d27d4eb4fULL * (coreIndex + 1));
 
-  const PatternSet patterns = generatePatterns(*core.netlist, local.numPatterns, local.prpg);
+  const PatternSet patterns = generatePatterns(*core.netlist, config.numPatterns, prpg);
   std::vector<FaultResponse> responses = sampleDetectedFaults(
-      FaultSimulator(*core.netlist, patterns), local.numFaults, local.faultSeed);
+      FaultSimulator(*core.netlist, patterns), config.numFaults, faultSeed);
 
   // Lift local DFF ordinals to global cell ids.
   const std::size_t total = soc.totalCells();

@@ -91,7 +91,7 @@ TEST_P(ControllerVsEngine, ErrorSignaturesMatchAnalyticModel) {
   // An interval partition supplies representative masks (fewer groups for
   // tiny chains like s27's 3 cells).
   const std::size_t groups = std::min<std::size_t>(4, s.topo.maxChainLength());
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, s.topo.maxChainLength(), groups);
+  IntervalPartitioner gen(s.topo.maxChainLength(), groups);
   const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(s.nl, s.patterns);
@@ -126,7 +126,7 @@ TEST(BistController, WorksWithStumpsParallelPatterns) {
 
   SessionConfig sessionConfig{SignatureMode::Misr, 8};
   const SessionEngine engine(s.topo, sessionConfig);
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, s.topo.maxChainLength(), 3);
+  IntervalPartitioner gen(s.topo.maxChainLength(), 3);
   const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(s.nl, stumps);

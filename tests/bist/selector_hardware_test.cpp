@@ -12,7 +12,8 @@
 namespace scandiag {
 namespace {
 
-const LfsrConfig kCfg{16, 0};
+// The hardware model runs on the partitioners' selection LFSR.
+constexpr LfsrConfig kCfg = kSelectionLfsr;
 
 TEST(SelectorHardware, RandomSelectionMasksArePartition) {
   const std::size_t L = 97;
@@ -30,7 +31,7 @@ TEST(SelectorHardware, RandomSelectionMasksArePartition) {
 
 TEST(SelectorHardware, RandomSelectionMatchesPartitioner) {
   const std::size_t L = 211, groups = 16;
-  RandomSelectionPartitioner partitioner(RandomSelectionConfig{kCfg, 0xACE1}, L, groups);
+  RandomSelectionPartitioner partitioner(0xACE1, L, groups);
   SelectorHardware hw(kCfg, L);
   hw.loadIvr(0xACE1);
   for (int p = 0; p < 4; ++p) {
@@ -79,8 +80,7 @@ TEST(SelectorHardware, IntervalMasksMatchSeedSearchLengths) {
 
 TEST(SelectorHardware, IntervalMatchesIntervalPartitioner) {
   const std::size_t L = 113, groups = 4;
-  IntervalPartitionerConfig cfg{kCfg, 0, 0xBEEF};
-  IntervalPartitioner partitioner(cfg, L, groups);
+  IntervalPartitioner partitioner(L, groups);
   const unsigned rlen = partitioner.intervalBits();
   for (int p = 0; p < 3; ++p) {
     const Partition part = partitioner.next();

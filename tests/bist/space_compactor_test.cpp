@@ -70,7 +70,7 @@ TEST(SpaceCompactor, ControllerMatchesAnalyticEngineThroughCompactor) {
   sc.compactor = &compactor;
   const SessionEngine engine(topo, sc);
 
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, topo.maxChainLength(), 3);
+  IntervalPartitioner gen(topo.maxChainLength(), 3);
   const PreparedPartitionSet partitions(std::vector<Partition>{gen.next()});
 
   const FaultSimulator fsim(nl, pats);

@@ -24,7 +24,7 @@ TEST(Presets, Table2MatchesPaperParameters) {
   EXPECT_EQ(c.numPartitions, 8u);
   EXPECT_EQ(c.groupsPerPartition, 16u);
   EXPECT_TRUE(c.pruning);
-  EXPECT_EQ(c.schemeConfig.lfsr.degree, 16u);  // paper: degree-16 primitive LFSR
+  EXPECT_EQ(kSelectionLfsr.degree, 16u);  // paper: degree-16 primitive LFSR
 }
 
 TEST(Presets, SocConfigsUsePaperGroupCounts) {

@@ -21,7 +21,7 @@ bool groupIsContiguousInterval(const BitVector& group) {
 // ---- RandomSelectionPartitioner -------------------------------------------
 
 TEST(RandomSelectionPartitioner, PartitionsAreValidAndDistinct) {
-  RandomSelectionPartitioner gen(RandomSelectionConfig{}, 211, 16);
+  RandomSelectionPartitioner gen(kRandomSelectionSeed, 211, 16);
   Partition a = gen.next();
   Partition b = gen.next();
   EXPECT_NO_THROW(a.validate());
@@ -33,16 +33,16 @@ TEST(RandomSelectionPartitioner, PartitionsAreValidAndDistinct) {
 }
 
 TEST(RandomSelectionPartitioner, RequiresPowerOfTwoGroups) {
-  EXPECT_THROW(RandomSelectionPartitioner(RandomSelectionConfig{}, 100, 3),
+  EXPECT_THROW(RandomSelectionPartitioner(kRandomSelectionSeed, 100, 3),
                std::invalid_argument);
-  EXPECT_THROW(RandomSelectionPartitioner(RandomSelectionConfig{}, 100, 1),
+  EXPECT_THROW(RandomSelectionPartitioner(kRandomSelectionSeed, 100, 1),
                std::invalid_argument);
-  EXPECT_NO_THROW(RandomSelectionPartitioner(RandomSelectionConfig{}, 100, 4));
+  EXPECT_NO_THROW(RandomSelectionPartitioner(kRandomSelectionSeed, 100, 4));
 }
 
 TEST(RandomSelectionPartitioner, Deterministic) {
-  RandomSelectionPartitioner g1(RandomSelectionConfig{}, 100, 8);
-  RandomSelectionPartitioner g2(RandomSelectionConfig{}, 100, 8);
+  RandomSelectionPartitioner g1(kRandomSelectionSeed, 100, 8);
+  RandomSelectionPartitioner g2(kRandomSelectionSeed, 100, 8);
   for (int i = 0; i < 3; ++i) {
     const Partition a = g1.next(), b = g2.next();
     for (std::size_t g = 0; g < 8; ++g) EXPECT_EQ(a.groups[g], b.groups[g]);
@@ -50,7 +50,7 @@ TEST(RandomSelectionPartitioner, Deterministic) {
 }
 
 TEST(RandomSelectionPartitioner, GroupsAreScattered) {
-  RandomSelectionPartitioner gen(RandomSelectionConfig{}, 512, 4);
+  RandomSelectionPartitioner gen(kRandomSelectionSeed, 512, 4);
   const Partition p = gen.next();
   // With 512 positions and 4 groups, at least one group must be non-contiguous
   // (the probability of all being intervals is astronomically small).
@@ -60,7 +60,7 @@ TEST(RandomSelectionPartitioner, GroupsAreScattered) {
 }
 
 TEST(RandomSelectionPartitioner, GroupSizesRoughlyBalanced) {
-  RandomSelectionPartitioner gen(RandomSelectionConfig{}, 4096, 4);
+  RandomSelectionPartitioner gen(kRandomSelectionSeed, 4096, 4);
   const Partition p = gen.next();
   for (const BitVector& g : p.groups) {
     EXPECT_GT(g.count(), 4096u / 4 / 2);
@@ -71,7 +71,7 @@ TEST(RandomSelectionPartitioner, GroupSizesRoughlyBalanced) {
 // ---- IntervalPartitioner ---------------------------------------------------
 
 TEST(IntervalPartitioner, GroupsAreContiguousIntervals) {
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, 211, 8);
+  IntervalPartitioner gen(211, 8);
   for (int i = 0; i < 3; ++i) {
     const Partition p = gen.next();
     EXPECT_NO_THROW(p.validate());
@@ -84,7 +84,7 @@ TEST(IntervalPartitioner, GroupsAreContiguousIntervals) {
 }
 
 TEST(IntervalPartitioner, SuccessivePartitionsUseFreshSeeds) {
-  IntervalPartitioner gen(IntervalPartitionerConfig{}, 211, 8);
+  IntervalPartitioner gen(211, 8);
   const Partition a = gen.next();
   const Partition b = gen.next();
   ASSERT_EQ(gen.usedSeeds().size(), 2u);
@@ -104,8 +104,8 @@ TEST(IntervalPartitioner, FromLengthsBuildsExactIntervals) {
 }
 
 TEST(IntervalPartitioner, ParameterValidation) {
-  EXPECT_THROW(IntervalPartitioner(IntervalPartitionerConfig{}, 0, 4), std::invalid_argument);
-  EXPECT_THROW(IntervalPartitioner(IntervalPartitionerConfig{}, 3, 4), std::invalid_argument);
+  EXPECT_THROW(IntervalPartitioner(0, 4), std::invalid_argument);
+  EXPECT_THROW(IntervalPartitioner(3, 4), std::invalid_argument);
 }
 
 // ---- TwoStepScheme ---------------------------------------------------------
@@ -136,14 +136,11 @@ TEST(TwoStepScheme, IntervalCountRespected) {
 }
 
 TEST(TwoStepScheme, MatchesComponentGenerators) {
-  // Two-step's partitions must equal those of standalone interval/random
-  // generators configured identically (the schemes share seeds).
-  SchemeConfig config;
-  TwoStepScheme twoStep(config, 100, 4);
-  IntervalPartitioner interval(
-      IntervalPartitionerConfig{config.lfsr, config.rlen, config.intervalStartSeed}, 100, 4);
-  RandomSelectionPartitioner random(RandomSelectionConfig{config.lfsr, config.randomSeed}, 100,
-                                    4);
+  // Two-step's partitions must equal those of the standalone interval/random
+  // generators (the schemes share the selection LFSR and its seeds).
+  TwoStepScheme twoStep(SchemeConfig{}, 100, 4);
+  IntervalPartitioner interval(100, 4);
+  RandomSelectionPartitioner random(kRandomSelectionSeed, 100, 4);
   const Partition t1 = twoStep.next();
   const Partition i1 = interval.next();
   for (std::size_t g = 0; g < 4; ++g) EXPECT_EQ(t1.groups[g], i1.groups[g]);

@@ -119,7 +119,6 @@ TEST(SessionEngine, ExactModeComputesPruneSignaturesOnRequest) {
   const ScanTopology topo = ScanTopology::singleChain(12);
   SessionConfig config{SignatureMode::Exact, 8};
   config.computeSignatures = true;
-  config.pruneDegree = 32;
   const SessionEngine engine(topo, config);
   const PreparedPartitionSet parts(
       std::vector<Partition>{IntervalPartitioner::fromLengths({6, 6}, 12)});

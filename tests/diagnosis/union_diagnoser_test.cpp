@@ -22,7 +22,7 @@ BitVector positionsOf(std::size_t length, const std::vector<std::size_t>& set) {
 /// Exact permanent-union oracle: a session over [lo, hi) fails iff it covers
 /// a true failing position.
 IntervalOracle exactOracle(const BitVector& truePositions, std::size_t* sessions = nullptr) {
-  return [&truePositions, sessions](std::size_t lo, std::size_t hi, std::size_t) {
+  return [&truePositions, sessions](std::size_t lo, std::size_t hi) {
     if (sessions != nullptr) ++*sessions;
     for (std::size_t p = lo; p < hi; ++p) {
       if (truePositions.test(p)) return true;
@@ -33,7 +33,7 @@ IntervalOracle exactOracle(const BitVector& truePositions, std::size_t* sessions
 
 TEST(UnionDiagnoser, ExactOracleCollapsesToTruePositions) {
   const ScanTopology topo = ScanTopology::singleChain(32);
-  const UnionDiagnoser refiner(topo, UnionRefineConfig{}, 8);
+  const UnionDiagnoser refiner(topo, /*sessionBudget=*/96, 8);
   const BitVector truth = positionsOf(32, {5, 6, 20});
   // Accidental survivors around each true cluster plus a fully-accidental
   // segment at [27, 29).
@@ -55,9 +55,7 @@ TEST(UnionDiagnoser, ExactOracleCollapsesToTruePositions) {
 
 TEST(UnionDiagnoser, ZeroBudgetKeepsEveryCandidateUnresolved) {
   const ScanTopology topo = ScanTopology::singleChain(16);
-  UnionRefineConfig config;
-  config.sessionBudget = 0;
-  const UnionDiagnoser refiner(topo, config, 8);
+  const UnionDiagnoser refiner(topo, /*sessionBudget=*/0, 8);
   const BitVector truth = positionsOf(16, {3});
   const BitVector candidates = positionsOf(16, {2, 3, 4, 9, 10});
 
@@ -76,9 +74,7 @@ TEST(UnionDiagnoser, AnyBudgetStaysASoundSuperset) {
   const BitVector truth = positionsOf(48, {7, 30, 31});
   const BitVector candidates = positionsOf(48, {5, 6, 7, 8, 14, 15, 29, 30, 31, 40, 41, 42});
   for (std::size_t budget = 0; budget <= 24; ++budget) {
-    UnionRefineConfig config;
-    config.sessionBudget = budget;
-    const UnionDiagnoser refiner(topo, config, 8);
+    const UnionDiagnoser refiner(topo, budget, 8);
     const UnionRefinement r = refiner.refine(candidates, {}, exactOracle(truth));
     EXPECT_LE(r.sessions, budget) << "budget " << budget;
     EXPECT_TRUE(truth.isSubsetOf(r.candidates.positions)) << "budget " << budget;
@@ -88,9 +84,7 @@ TEST(UnionDiagnoser, AnyBudgetStaysASoundSuperset) {
 
 TEST(UnionDiagnoser, AdiOrderingSpendsBudgetOnHighWeightSegmentsFirst) {
   const ScanTopology topo = ScanTopology::singleChain(16);
-  UnionRefineConfig config;
-  config.sessionBudget = 1;  // exactly one whole-segment query
-  const UnionDiagnoser refiner(topo, config, 8);
+  const UnionDiagnoser refiner(topo, /*sessionBudget=*/1, 8);  // one whole-segment query
   const BitVector truth(16);  // both segments are accidental
   const BitVector candidates = positionsOf(16, {2, 3, 10, 11});
   std::vector<double> prior(16, 0.0);
@@ -106,9 +100,8 @@ TEST(UnionDiagnoser, AdiOrderingSpendsBudgetOnHighWeightSegmentsFirst) {
 
 TEST(UnionDiagnoser, ClusterCountBeyondMaxFaultsIsDegraded) {
   const ScanTopology topo = ScanTopology::singleChain(20);
-  UnionRefineConfig config;
-  config.maxFaults = 4;
-  const UnionDiagnoser refiner(topo, config, 8);
+  static_assert(kMaxUnionFaults == 4, "five clusters must exceed the fault budget");
+  const UnionDiagnoser refiner(topo, /*sessionBudget=*/96, 8);
   // Five isolated width-1 true segments: refinement confirms all of them
   // (complete), but the cluster count exceeds the simultaneous-fault budget.
   const BitVector truth = positionsOf(20, {1, 5, 9, 13, 17});
@@ -123,7 +116,7 @@ TEST(UnionDiagnoser, ClusterCountBeyondMaxFaultsIsDegraded) {
 
 TEST(UnionDiagnoser, MismatchedAxisSizesAreRejected) {
   const ScanTopology topo = ScanTopology::singleChain(8);
-  const UnionDiagnoser refiner(topo, UnionRefineConfig{}, 4);
+  const UnionDiagnoser refiner(topo, /*sessionBudget=*/96, 4);
   const BitVector truth = positionsOf(8, {1});
   EXPECT_THROW(refiner.refine(BitVector(9), {}, exactOracle(truth)), std::logic_error);
   EXPECT_THROW(refiner.refine(BitVector(8), std::vector<double>(3, 1.0), exactOracle(truth)),

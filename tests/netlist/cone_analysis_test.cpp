@@ -113,27 +113,5 @@ TEST(ConeAnalysis, MatchesBruteForceOnGeneratedCircuit) {
   }
 }
 
-TEST(ConeAnalysis, ConeSpanStatistics) {
-  Fixture f;
-  const Levelization lev = levelize(f.nl);
-  const FaultCone cone = computeCone(f.nl, lev, f.a);
-  const std::vector<std::size_t> order = {0, 1, 2};  // identity ordering
-  const ConeSpan span = coneSpan(cone, order, 3);
-  EXPECT_EQ(span.cells, 2u);
-  EXPECT_EQ(span.firstPos, 0u);
-  EXPECT_EQ(span.lastPos, 1u);
-  EXPECT_NEAR(span.spanFraction, 2.0 / 3.0, 1e-12);
-}
-
-TEST(ConeAnalysis, EmptyConeSpanIsZero) {
-  Fixture f;
-  const Levelization lev = levelize(f.nl);
-  FaultCone cone = computeCone(f.nl, lev, f.g3);
-  cone.reachableDffs.resetAll();
-  const ConeSpan span = coneSpan(cone, {0, 1, 2}, 3);
-  EXPECT_EQ(span.cells, 0u);
-  EXPECT_EQ(span.spanFraction, 0.0);
-}
-
 }  // namespace
 }  // namespace scandiag

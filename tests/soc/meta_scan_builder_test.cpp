@@ -47,20 +47,6 @@ TEST(MetaScanBuilder, CoreOccupiesContiguousRunPerChain) {
   }
 }
 
-TEST(MetaScanBuilder, CoreSpanCoversItsPositions) {
-  const std::vector<std::size_t> counts = {10, 20, 30};
-  const ScanTopology t = buildMetaChains(counts, 4);
-  const CoreSpan span1 = coreSpanOnMetaChains(counts, 4, 1);
-  // Verify against actual placements of core 1's cells (ids 10..29).
-  std::size_t lo = static_cast<std::size_t>(-1), hi = 0;
-  for (std::size_t cell = 10; cell < 30; ++cell) {
-    lo = std::min(lo, t.location(cell).position);
-    hi = std::max(hi, t.location(cell).position);
-  }
-  EXPECT_EQ(span1.firstPosition, lo);
-  EXPECT_EQ(span1.lastPosition, hi);
-}
-
 TEST(MetaScanBuilder, ChainsBalancedWithinOneCell) {
   const ScanTopology t = buildMetaChains({211, 638, 534, 1728, 1636, 1426}, 8);
   std::size_t mn = static_cast<std::size_t>(-1), mx = 0;

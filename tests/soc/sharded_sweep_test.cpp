@@ -76,6 +76,13 @@ TEST(ParseShardSpec, AcceptsAndRejects) {
   EXPECT_THROW(parseShardSpec("/4"), std::invalid_argument);
   EXPECT_THROW(parseShardSpec("a/b"), std::invalid_argument);
   EXPECT_THROW(parseShardSpec("0/0"), std::invalid_argument);
+  // Each number must fill its field.
+  EXPECT_THROW(parseShardSpec("0/2x"), std::invalid_argument);
+  EXPECT_THROW(parseShardSpec("0x/2"), std::invalid_argument);
+  EXPECT_THROW(parseShardSpec(" 0/2"), std::invalid_argument);
+  EXPECT_THROW(parseShardSpec("0/-2"), std::invalid_argument);
+  EXPECT_THROW(parseShardSpec("0/2/3"), std::invalid_argument);
+  EXPECT_THROW(parseShardSpec("0/4294967296"), std::invalid_argument);
 }
 
 TEST(ShardedSweep, ShardRangesTileTheSweep) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace scandiag {
 namespace {
 
@@ -81,6 +84,21 @@ TEST(SocBuilder, CoresOccupyContiguousPositionRuns) {
 TEST(SocBuilder, ValidatesCoreNetlists) {
   const Soc soc = smallSoc();
   for (const CoreInstance& core : soc.cores()) EXPECT_NO_THROW(core.netlist->validate());
+}
+
+TEST(SocBuilder, SpecNumbersMustFillTheirField) {
+  const Soc soc = buildSocFromSpec("rep:s27x2:w1");
+  EXPECT_EQ(soc.coreCount(), 2u);
+  for (const char* spec : {"rep:s27x2junk", "rep:s27x2:w1junk", "rep:s27x2:wabc", "rep:s27x-2",
+                           "rep:s27x 2", "rep:s27x2:w0", "rep:s27x2:w+1"}) {
+    try {
+      buildSocFromSpec(spec);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("bad SOC spec"), std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
 }
 
 TEST(Soc, ConstructionInvariantsEnforced) {
