@@ -6,6 +6,10 @@ Bench executables emit results/BENCH_<name>.json with a "counters" section
 bit-identical across thread counts and runs. This script diffs that section —
 and nothing else; timings ("phases", "workers", "timing") are wall-clock and
 explicitly excluded — against checked-in goldens in results/golden/.
+Goldens are sparse: a counter absent from either side reads as 0, so a golden
+lists only its nonzero counters and a new counter that stays at 0 touches no
+golden. The comparison is still exact: a nonzero counter missing from the
+golden, or any value that differs, is drift.
 
 Usage:
   check_bench_counters.py [options] [NAME ...]
@@ -13,7 +17,7 @@ Usage:
       Default NAMEs: every golden present in the golden directory.
   check_bench_counters.py --update [NAME ...]
       Regenerate goldens from the current results (minimal documents:
-      schema_version + bench + counters).
+      schema_version + bench + the nonzero counters).
   check_bench_counters.py --diff A.json B.json
       Compare the counters sections of two arbitrary report files.
   check_bench_counters.py --require-nonzero COUNTER [NAME ...]
@@ -81,18 +85,19 @@ def counters_of(doc: dict, path: Path) -> dict:
 
 def diff_counters(name: str, expected: dict, actual: dict,
                   ignore: frozenset = frozenset()) -> bool:
-    """Prints per-counter drift; returns True when the sections are identical."""
+    """Prints per-counter drift; returns True when the sections are identical.
+    A counter absent from one side reads as 0."""
     ok = True
     for key in sorted(set(expected) | set(actual)):
         if key in ignore:
             continue
-        want, got = expected.get(key), actual.get(key)
+        want, got = expected.get(key, 0), actual.get(key, 0)
         if want == got:
             continue
         ok = False
-        if want is None:
-            print(f"  {name}: new counter {key} = {got} (not in golden)")
-        elif got is None:
+        if key not in expected:
+            print(f"  {name}: counter {key} = {got} not in golden (reads as 0)")
+        elif key not in actual:
             print(f"  {name}: counter {key} missing (golden has {want})")
         elif isinstance(want, int) and isinstance(got, int):
             print(f"  {name}: {key} drifted: golden {want} -> actual {got} "
@@ -233,7 +238,8 @@ def main() -> int:
             try:
                 doc = load(args.results / f"BENCH_{name}.json")
                 golden = {k: doc[k] for k in GOLDEN_KEYS if k in doc}
-                counters_of(golden, args.results / f"BENCH_{name}.json")
+                counters = counters_of(golden, args.results / f"BENCH_{name}.json")
+                golden["counters"] = {k: v for k, v in counters.items() if v != 0}
             except LoadError as e:
                 print(f"  {name}: {e}")
                 update_failed.append(name)

@@ -37,7 +37,7 @@ bool insideParallelRegion() { return tlsInsideParallelRegion; }
 
 ThreadPool::ThreadPool(std::size_t numThreads) {
   const std::size_t lanes = numThreads == 0 ? defaultThreadCount() : numThreads;
-  SCANDIAG_REQUIRE(lanes <= 4096,
+  SCANDIAG_REQUIRE(lanes <= kMaxThreadCount,
                    "thread count " + std::to_string(lanes) +
                        " is implausibly large (negative value passed to --threads?)");
   workers_.reserve(lanes - 1);

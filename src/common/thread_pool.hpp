@@ -47,6 +47,11 @@
 
 namespace scandiag {
 
+/// Most threads (pool lanes, serve handlers) or per-thread resources (serve
+/// simulators) any component takes. A larger count is a misparsed or negative
+/// value, not a real request.
+inline constexpr std::size_t kMaxThreadCount = 4096;
+
 /// SCANDIAG_THREADS if set to a positive integer, else hardware_concurrency
 /// (never 0).
 std::size_t defaultThreadCount();

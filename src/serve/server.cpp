@@ -56,6 +56,11 @@ int listenOn(const std::string& path) {
 
 DiagnosisServer::DiagnosisServer(const DiagnosisService& service, ServeOptions options)
     : service_(&service), options_(std::move(options)) {
+  if (options_.handlers > kMaxThreadCount) {
+    throw std::invalid_argument("serve: " + std::to_string(options_.handlers) +
+                                " handlers is implausibly large (at most " +
+                                std::to_string(kMaxThreadCount) + ")");
+  }
   stopToken_ = options_.stopToken != nullptr ? options_.stopToken : &privateStop_;
   if (options_.handlers == 0) options_.handlers = 1;
   if (options_.queueCapacity == 0) options_.queueCapacity = 1;

@@ -104,6 +104,8 @@ struct ServeStats {
 
 class DiagnosisServer {
  public:
+  /// Throws std::invalid_argument for more than kMaxThreadCount handlers;
+  /// run() starts the handler threads, so none exists yet.
   DiagnosisServer(const DiagnosisService& service, ServeOptions options);
   ~DiagnosisServer();
 

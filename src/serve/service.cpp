@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/errors.hpp"
+#include "common/thread_pool.hpp"
 #include "bist/prpg.hpp"
 #include "diagnosis/tester_log.hpp"
 #include "inject/defect_zoo.hpp"
@@ -30,6 +31,11 @@ const ServiceConfig& checkedConfig(const ServiceConfig& config) {
   }
   if (config.diagnosis.pruning) {
     throw std::invalid_argument("serve does not support superposition pruning");
+  }
+  if (config.simulators > kMaxThreadCount) {
+    throw std::invalid_argument("serve: " + std::to_string(config.simulators) +
+                                " simulators is implausibly large (at most " +
+                                std::to_string(kMaxThreadCount) + ")");
   }
   return config;
 }

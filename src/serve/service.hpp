@@ -47,8 +47,9 @@ struct ServiceConfig {
 
 class DiagnosisService {
  public:
-  /// Throws std::invalid_argument for the adaptive scheme or pruning: the
-  /// per-partition loop below honours neither.
+  /// Throws std::invalid_argument for the adaptive scheme or pruning (the
+  /// per-partition loop below honours neither), or for more than
+  /// kMaxThreadCount simulators, before building any simulator.
   DiagnosisService(Netlist netlist, const ServiceConfig& config);
 
   const Netlist& netlist() const { return netlist_; }

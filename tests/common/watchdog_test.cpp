@@ -2,8 +2,7 @@
 //
 // Deadline trips are made deterministic with zero budgets (trip on first
 // poll) and generous budgets (never trip inside a test) — no sleeps, no
-// wall-clock races. The watchdog_cancels counter assertions are split on
-// SCANDIAG_METRICS_ENABLED, same as the obs shim tests.
+// wall-clock races.
 
 #include "common/watchdog.hpp"
 
@@ -21,10 +20,7 @@ using std::chrono::milliseconds;
 
 class WatchdogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    obs::MetricsRegistry::instance().setEnabled(true);
-    obs::MetricsRegistry::instance().reset();
-  }
+  void SetUp() override { obs::MetricsRegistry::instance().reset(); }
   void TearDown() override { obs::MetricsRegistry::instance().reset(); }
 
   std::uint64_t cancels() const {
@@ -73,11 +69,7 @@ TEST_F(WatchdogTest, ZeroTotalBudgetTripsOnFirstPoll) {
   EXPECT_TRUE(token.cancelled());
   EXPECT_NE(std::string(token.reason()).find("watchdog"), std::string::npos)
       << token.reason();
-#if SCANDIAG_METRICS_ENABLED
   EXPECT_EQ(cancels(), 1u);
-#else
-  EXPECT_EQ(cancels(), 0u);
-#endif
 }
 
 TEST_F(WatchdogTest, GenerousBudgetDoesNotTrip) {
@@ -93,9 +85,7 @@ TEST_F(WatchdogTest, TripCountsExactlyOnceAcrossRepeatedPolls) {
   CancellationToken token;
   Watchdog watchdog(token, milliseconds(0));
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(watchdog.poll());
-#if SCANDIAG_METRICS_ENABLED
   EXPECT_EQ(cancels(), 1u);
-#endif
 }
 
 TEST_F(WatchdogTest, ExternalCancellationReportedThroughPoll) {

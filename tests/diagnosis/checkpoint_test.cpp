@@ -61,7 +61,6 @@ Fixture& fixture() {
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    obs::MetricsRegistry::instance().setEnabled(true);
     obs::MetricsRegistry::instance().reset();
     globalCancelToken().reset();
   }
@@ -177,7 +176,6 @@ TEST_F(CheckpointTest, ResumeAfterPrefixIsBitIdenticalAtAnyThreadCount) {
       EXPECT_EQ(resumed.sumActual, full.sumActual);
 
       const obs::MetricsSnapshot counters = obs::MetricsRegistry::instance().snapshot();
-#if SCANDIAG_METRICS_ENABLED
       // written + replayed is invariant; everything else matches the
       // uninterrupted run exactly (the replayed faults' deltas re-applied).
       EXPECT_EQ(counters.counter(obs::Counter::JournalRecordsWritten) +
@@ -185,7 +183,6 @@ TEST_F(CheckpointTest, ResumeAfterPrefixIsBitIdenticalAtAnyThreadCount) {
                 fullCounters.counter(obs::Counter::JournalRecordsWritten));
       EXPECT_EQ(counters.counter(obs::Counter::JournalRecordsReplayed),
                 tornTail ? keep - 1 : keep);
-#endif
       for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
         const auto counter = static_cast<obs::Counter>(c);
         if (counter == obs::Counter::JournalRecordsWritten ||

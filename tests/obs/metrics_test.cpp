@@ -1,9 +1,4 @@
-// MetricsRegistry / shim / JSON-export contract tests (test_obs).
-//
-// The registry API (add/addPhase/recordWorker/reset/snapshot) compiles in
-// every build, so most of these run under SCANDIAG_METRICS=OFF too; only the
-// shim behaviour tests are split on SCANDIAG_METRICS_ENABLED — under OFF the
-// shims must record *nothing*, and that is asserted rather than skipped.
+// MetricsRegistry / shim / DeltaCapture / JSON-export contract tests (test_obs).
 
 #include <gtest/gtest.h>
 
@@ -21,18 +16,16 @@
 namespace scandiag::obs {
 namespace {
 
-/// Leaves the registry zeroed and enabled for the next test in this process.
+/// Leaves the registry zeroed for the next test in this process.
 class MetricsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    MetricsRegistry::instance().setEnabled(true);
-    MetricsRegistry::instance().reset();
-  }
-  void TearDown() override {
-    MetricsRegistry::instance().setEnabled(true);
-    MetricsRegistry::instance().reset();
-  }
+  void SetUp() override { MetricsRegistry::instance().reset(); }
+  void TearDown() override { MetricsRegistry::instance().reset(); }
 };
+
+std::uint64_t delta(const DeltaCapture& capture, Counter c) {
+  return capture.deltas()[static_cast<std::size_t>(c)];
+}
 
 TEST_F(MetricsTest, NamesAreUniqueAndStable) {
   std::vector<std::string> names;
@@ -118,21 +111,70 @@ TEST_F(MetricsTest, WorkerLanesBeyondTrackingLimitAreDropped) {
   EXPECT_EQ(registry.snapshot().workers[0].worker, kMaxTrackedWorkers - 1);
 }
 
-TEST_F(MetricsTest, ShimRespectsCompileTimeAndRuntimeSwitches) {
+TEST_F(MetricsTest, CountShimAddsToRegistry) {
   MetricsRegistry& registry = MetricsRegistry::instance();
   count(Counter::FaultsDiagnosed);
-  if constexpr (kMetricsCompiled) {
-    EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 1u);
-    registry.setEnabled(false);
-    count(Counter::FaultsDiagnosed);  // runtime-off: one branch, no record
-    EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 1u);
-    registry.setEnabled(true);
+  EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 1u);
+  count(Counter::FaultsDiagnosed);
+  EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 2u);
+}
+
+TEST_F(MetricsTest, DeltaCaptureSeesOnlyItsOwnThreadInsideItsScope) {
+  count(Counter::SessionsRun, 100);  // before the scope: not captured
+  {
+    DeltaCapture capture;
+    count(Counter::SessionsRun, 3);
     count(Counter::FaultsDiagnosed);
-    EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 2u);
-  } else {
-    // OFF build: the shim is a no-op even with the registry enabled.
-    EXPECT_EQ(registry.snapshot().counter(Counter::FaultsDiagnosed), 0u);
+    std::thread other([] {
+      count(Counter::SessionsRun, 1000);
+      count(Counter::UnionSplits);
+    });
+    other.join();
+    EXPECT_EQ(delta(capture, Counter::SessionsRun), 3u);
+    EXPECT_EQ(delta(capture, Counter::FaultsDiagnosed), 1u);
+    EXPECT_EQ(delta(capture, Counter::UnionSplits), 0u);
   }
+}
+
+TEST_F(MetricsTest, NestedDeltaCaptureMergesIntoOuterOnExit) {
+  DeltaCapture outer;
+  count(Counter::SessionsRun, 2);
+  {
+    DeltaCapture inner;
+    count(Counter::SessionsRun, 3);
+    count(Counter::FaultsDiagnosed);
+    EXPECT_EQ(delta(inner, Counter::SessionsRun), 3u);
+    EXPECT_EQ(delta(inner, Counter::FaultsDiagnosed), 1u);
+    // The inner capture shadows the outer one while it is live.
+    EXPECT_EQ(delta(outer, Counter::SessionsRun), 2u);
+    EXPECT_EQ(delta(outer, Counter::FaultsDiagnosed), 0u);
+  }
+  EXPECT_EQ(delta(outer, Counter::SessionsRun), 5u);
+  EXPECT_EQ(delta(outer, Counter::FaultsDiagnosed), 1u);
+  count(Counter::SessionsRun);
+  EXPECT_EQ(delta(outer, Counter::SessionsRun), 6u);
+}
+
+TEST_F(MetricsTest, RegistryTotalsDoNotDependOnActiveCaptures) {
+  MetricsRegistry& registry = MetricsRegistry::instance();
+  const auto work = [] {
+    count(Counter::SessionsRun, 4);
+    count(Counter::PartitionsEvaluated);
+    count(Counter::DegradedSupersets, 2);
+  };
+  work();
+  work();
+  const MetricsSnapshot uncaptured = registry.snapshot();
+  registry.reset();
+  {
+    DeltaCapture outer;
+    work();
+    {
+      DeltaCapture inner;
+      work();
+    }
+  }
+  EXPECT_EQ(registry.snapshot().counters, uncaptured.counters);
 }
 
 TEST_F(MetricsTest, PhaseScopeAccumulatesIntoItsPhase) {
@@ -143,15 +185,11 @@ TEST_F(MetricsTest, PhaseScopeAccumulatesIntoItsPhase) {
   }
   { WorkerScope lane(3); }
   const MetricsSnapshot snap = registry.snapshot();
-  if constexpr (kMetricsCompiled) {
-    EXPECT_EQ(snap.phase(Phase::SignatureCompare).calls, 2u);
-    EXPECT_EQ(snap.phase(Phase::CandidateIntersection).calls, 0u);
-    ASSERT_EQ(snap.workers.size(), 1u);
-    EXPECT_EQ(snap.workers[0].worker, 3u);
-    EXPECT_EQ(snap.workers[0].tasks, 1u);
-  } else {
-    EXPECT_EQ(snap, MetricsSnapshot{});
-  }
+  EXPECT_EQ(snap.phase(Phase::SignatureCompare).calls, 2u);
+  EXPECT_EQ(snap.phase(Phase::CandidateIntersection).calls, 0u);
+  ASSERT_EQ(snap.workers.size(), 1u);
+  EXPECT_EQ(snap.workers[0].worker, 3u);
+  EXPECT_EQ(snap.workers[0].tasks, 1u);
 }
 
 // populatedSnapshot() under context {"s9234", "two-step", 4}, as compact JSON.

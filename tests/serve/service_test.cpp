@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "bist/prpg.hpp"
+#include "common/thread_pool.hpp"
 #include "diagnosis/tester_log.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "serve/server.hpp"
 #include "sim/fault_list.hpp"
 
 namespace scandiag::serve {
@@ -104,6 +106,20 @@ TEST_F(ServiceTest, RejectsSettingsThePartitionLoopCannotHonour) {
   ServiceConfig pruning;
   pruning.diagnosis.pruning = true;
   EXPECT_THROW(DiagnosisService(Netlist(*netlist_), pruning), std::invalid_argument);
+}
+
+TEST_F(ServiceTest, RejectsImplausibleSimulatorAndHandlerCounts) {
+  // Both counts are capped like the thread pool's lanes. The constructors
+  // refuse a larger one before building a simulator or starting a thread;
+  // run() is never called here.
+  ServiceConfig sims;
+  sims.simulators = kMaxThreadCount + 1;
+  EXPECT_THROW(DiagnosisService(Netlist(*netlist_), sims), std::invalid_argument);
+  ServeOptions handlers;
+  handlers.handlers = kMaxThreadCount + 1;
+  EXPECT_THROW(DiagnosisServer(*service_, handlers), std::invalid_argument);
+  handlers.handlers = kMaxThreadCount;
+  EXPECT_NO_THROW(DiagnosisServer(*service_, handlers));
 }
 
 TEST_F(ServiceTest, UnknownGateIsErrorReplyNotException) {

@@ -131,7 +131,11 @@
 //      confidence — degrade, never lie)
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -166,6 +170,28 @@ enum ExitCode {
   kExitDefectSuperset = 8,
 };
 
+/// A count: starts with a digit (decimal, 0x hex or leading-0 octal, as
+/// strtoull's base 0 reads it) and fits in 64 bits. No sign, no whitespace.
+std::optional<std::uint64_t> parseCount(const std::string& text) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
+  if (errno == ERANGE || *end != '\0') return std::nullopt;
+  return value;
+}
+
+/// A finite non-negative real: starts with a digit or '.', no sign, no
+/// whitespace, no inf/nan.
+std::optional<double> parseReal(const std::string& text) {
+  if (text.empty() || !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.'))
+    return std::nullopt;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) return std::nullopt;
+  return value;
+}
+
 struct Args {
   std::vector<std::string> positional;  // [0] is the command
   std::map<std::string, std::string> options;
@@ -199,10 +225,8 @@ struct Args {
       }
       if (i + 1 >= argc) throw std::invalid_argument("option --" + key + " needs a value");
       const std::string value = argv[++i];
-      char* end = nullptr;
-      if (kind->second == '#') std::strtoull(value.c_str(), &end, 0);
-      if (kind->second == '%') std::strtod(value.c_str(), &end);
-      if (end != nullptr && (end == value.c_str() || *end != '\0' || value[0] == '-'))
+      if ((kind->second == '#' && !parseCount(value)) ||
+          (kind->second == '%' && !parseReal(value)))
         throw std::invalid_argument("option --" + key + " needs a number, got '" + value + "'");
       args.options[key] = value;
     }
@@ -220,11 +244,11 @@ struct Args {
   }
   std::size_t getN(const std::string& key, std::size_t def) const {
     const auto it = options.find(key);
-    return it == options.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
+    return it == options.end() ? def : *parseCount(it->second);
   }
   double getD(const std::string& key, double def) const {
     const auto it = options.find(key);
-    return it == options.end() ? def : std::strtod(it->second.c_str(), nullptr);
+    return it == options.end() ? def : *parseReal(it->second);
   }
   bool getFlag(const std::string& key) const { return flags.count(key) != 0; }
 };
@@ -833,11 +857,12 @@ int cmdOffline(const Args& args) {
 }
 
 int cmdPartitions(const Args& args) {
-  const std::size_t length =
-      std::strtoull(args.positionalAt(1, "chain length").c_str(), nullptr, 0);
-  if (length == 0) throw std::invalid_argument("partitions needs a positive chain length");
+  const std::string& text = args.positionalAt(1, "chain length");
+  const std::optional<std::uint64_t> length = parseCount(text);
+  if (!length || *length == 0)
+    throw std::invalid_argument("partitions needs a positive chain length, got '" + text + "'");
   DiagnosisConfig config = configFrom(args);
-  const auto partitions = buildPartitions(config, length);
+  const auto partitions = buildPartitions(config, *length);
   for (std::size_t p = 0; p < partitions.size(); ++p) {
     std::printf("partition %zu (%s):\n", p, schemeName(config.scheme).c_str());
     for (std::size_t g = 0; g < partitions[p].groupCount(); ++g) {
