@@ -1,17 +1,21 @@
 #include "atpg/podem.hpp"
 
-#include <array>
+#include <algorithm>
 #include <memory>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 
 namespace scandiag {
 
 namespace {
 
 // 3-valued logic: 0, 1, X.
-enum V3 : std::uint8_t { V0 = 0, V1 = 1, VX = 2 };
+using V3 = std::uint8_t;
+constexpr V3 V0 = 0;
+constexpr V3 V1 = 1;
+constexpr V3 VX = 2;
 
 V3 v3Not(V3 a) { return a == VX ? VX : (a == V0 ? V1 : V0); }
 
@@ -105,11 +109,53 @@ void TestCube::applyTo(PatternSet& patterns, std::size_t t, const Netlist& netli
   }
 }
 
-PodemAtpg::PodemAtpg(const Netlist& netlist) : netlist_(&netlist), lev_(levelize(netlist)) {}
+PodemAtpg::PodemAtpg(const Netlist& netlist)
+    : PodemAtpg(netlist, std::make_shared<const Levelization>(levelize(netlist))) {}
+
+PodemAtpg::PodemAtpg(const Netlist& netlist, std::shared_ptr<const Levelization> lev)
+    : netlist_(&netlist), lev_(std::move(lev)) {
+  const std::size_t n = netlist.gateCount();
+  SCANDIAG_REQUIRE(lev_ != nullptr && lev_->level.size() == n,
+                   "levelization does not match the netlist");
+  const std::vector<std::vector<GateId>>& fanouts = netlist.fanouts();
+  fanoutBegin_.assign(n + 1, 0);
+  for (GateId id = 0; id < n; ++id) {
+    std::uint32_t users = 0;
+    for (GateId user : fanouts[id]) users += isSourceType(netlist.gate(user).type) ? 0 : 1;
+    fanoutBegin_[id + 1] = fanoutBegin_[id] + users;
+  }
+  fanoutList_.reserve(fanoutBegin_[n]);
+  for (GateId id = 0; id < n; ++id) {
+    for (GateId user : fanouts[id]) {
+      // A DFF's D edge is sequential: the DFF's value is a decision, never
+      // an implication.
+      if (!isSourceType(netlist.gate(user).type)) fanoutList_.push_back(user);
+    }
+  }
+
+  orderPos_.assign(n, 0);
+  for (std::size_t i = 0; i < lev_->order.size(); ++i)
+    orderPos_[lev_->order[i]] = static_cast<std::uint32_t>(i);
+  obsCount_.assign(n, 0);
+  for (GateId po : netlist.outputs()) ++obsCount_[po];
+  for (GateId dff : netlist.dffs()) ++obsCount_[netlist.gate(dff).fanins[0]];
+
+  unassigned_.assign(n, VX);
+  for (GateId id = 0; id < n; ++id) {
+    if (netlist.gate(id).type == GateType::Const0) unassigned_[id] = V0;
+    if (netlist.gate(id).type == GateType::Const1) unassigned_[id] = V1;
+  }
+  for (GateId id : lev_->order) {
+    const Gate& g = netlist.gate(id);
+    unassigned_[id] = evalGate3(g.type, g.fanins, unassigned_, FaultSite::kOutputPin, VX);
+  }
+}
 
 AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimit) const {
   const Netlist& nl = *netlist_;
+  const Levelization& lev = *lev_;
   SCANDIAG_REQUIRE(fault.gate < nl.gateCount(), "fault site out of range");
+  obs::PhaseScope phase(obs::Phase::Atpg);
   AtpgResult result;
 
   // The "fault line" whose good value must be the complement of the stuck
@@ -120,72 +166,137 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
   const V3 activate = v3Not(stuck);
   const bool dffPinFault =
       !fault.isOutputFault() && nl.gate(fault.gate).type == GateType::Dff;
+  // A DFF D-pin fault is observed at its own cell once activated, so it
+  // needs neither the D-frontier nor the observation count.
+  const bool trackFrontier = !dffPinFault;
 
-  std::vector<V3> good(nl.gateCount(), VX);
-  std::vector<V3> faulty(nl.gateCount(), VX);
+  // The faulty plane can differ from the good plane only in the fault site's
+  // combinational fanout cone, site included (empty for a DFF D-pin fault,
+  // whose error never re-enters the logic). Outside it the faulty value is the
+  // good value, and no gate there can join the D-frontier.
+  std::vector<std::uint8_t> inCone(nl.gateCount(), 0);
+  if (!dffPinFault) {
+    std::vector<GateId> stack{fault.gate};
+    inCone[fault.gate] = 1;
+    while (!stack.empty()) {
+      const GateId id = stack.back();
+      stack.pop_back();
+      for (std::uint32_t k = fanoutBegin_[id]; k < fanoutBegin_[id + 1]; ++k) {
+        const GateId user = fanoutList_[k];
+        if (inCone[user]) continue;
+        inCone[user] = 1;
+        stack.push_back(user);
+      }
+    }
+  }
+  const bool sourceSite = isSourceType(nl.gate(fault.gate).type);
+
+  // Both planes start from the unassigned, fault-free values; the fault is
+  // injected below as the first event.
+  std::vector<V3> good = unassigned_;
+  std::vector<V3> faulty = unassigned_;
   std::vector<Decision> decisions;
 
-  // Observation points: primary outputs and DFF D drivers.
-  std::vector<std::pair<GateId, GateId>> obs;  // (line in good/faulty planes, owner)
-  for (GateId po : nl.outputs()) obs.push_back({po, po});
-  for (GateId dff : nl.dffs()) obs.push_back({nl.gate(dff).fanins[0], dff});
-
-  auto imply = [&] {
-    for (GateId id = 0; id < nl.gateCount(); ++id) {
-      const GateType t = nl.gate(id).type;
-      if (t == GateType::Const0) good[id] = faulty[id] = V0;
-      if (t == GateType::Const1) good[id] = faulty[id] = V1;
-      if (t == GateType::Input || t == GateType::Dff) {
-        good[id] = VX;
-        faulty[id] = VX;
-      }
-    }
-    for (const Decision& d : decisions) good[d.source] = faulty[d.source] = d.value ? V1 : V0;
-    if (fault.isOutputFault() && isSourceType(nl.gate(fault.gate).type))
-      faulty[fault.gate] = stuck;
-    for (GateId id : lev_.order) {
-      const Gate& g = nl.gate(id);
-      good[id] = evalGate3(g.type, g.fanins, good, FaultSite::kOutputPin, VX);
-      if (id == fault.gate && fault.isOutputFault()) {
-        faulty[id] = stuck;
-      } else if (id == fault.gate && !fault.isOutputFault()) {
-        faulty[id] = evalGate3(g.type, g.fanins, faulty, fault.pin, stuck);
-      } else {
-        faulty[id] = evalGate3(g.type, g.fanins, faulty, FaultSite::kOutputPin, VX);
-      }
-    }
-  };
+  std::vector<std::vector<GateId>> buckets(lev.maxLevel + 1);  // pending gates per level
+  std::vector<std::uint8_t> queued(nl.gateCount(), 0);
+  std::size_t lowestQueued = buckets.size();
+  std::vector<GateId> changed;  // gates whose values changed since the last frontier refresh
+  BitVector frontier(lev.order.size());  // D-frontier, by position in lev.order
+  std::size_t observedDs = 0;  // observation points whose line carries a D/D̄
 
   auto isD = [&](GateId line) {
     return good[line] != VX && faulty[line] != VX && good[line] != faulty[line];
   };
 
-  auto observed = [&] {
-    // A DFF D-pin fault is observed at its own cell once activated.
-    if (dffPinFault) return good[faultLine] == activate;
-    for (const auto& [line, owner] : obs) {
-      (void)owner;
-      if (isD(line)) return true;
+  auto write = [&](GateId id, V3 goodValue, V3 faultyValue) {
+    if (good[id] == goodValue && faulty[id] == faultyValue) return;
+    const bool wasD = isD(id);
+    good[id] = goodValue;
+    faulty[id] = faultyValue;
+    if (obsCount_[id] != 0 && wasD != isD(id)) {
+      if (wasD) observedDs -= obsCount_[id];
+      else observedDs += obsCount_[id];
     }
-    return false;
+    if (trackFrontier) changed.push_back(id);
+    for (std::uint32_t k = fanoutBegin_[id]; k < fanoutBegin_[id + 1]; ++k) {
+      const GateId user = fanoutList_[k];
+      if (queued[user]) continue;
+      queued[user] = 1;
+      buckets[lev.level[user]].push_back(user);
+      lowestQueued = std::min(lowestQueued, lev.level[user]);
+    }
+  };
+
+  auto assignSource = [&](GateId source, V3 v) {
+    const bool forced = fault.isOutputFault() && source == fault.gate;
+    write(source, v, forced ? stuck : v);
+  };
+
+  // Frontier membership: output not yet binary in both planes, a D on some
+  // input, and an X input left to set.
+  auto onFrontier = [&](GateId id) {
+    if (good[id] != VX && faulty[id] != VX) return false;
+    // For a pin fault, the D is injected *inside* the owning gate's
+    // evaluation, so the owner belongs to the frontier as soon as the
+    // fault is activated even though no fanin carries a plane-level D.
+    bool hasD = !fault.isOutputFault() && id == fault.gate && good[faultLine] == activate;
+    bool hasX = false;
+    for (GateId f : nl.gate(id).fanins) {
+      hasD = hasD || isD(f);
+      hasX = hasX || good[f] == VX;
+    }
+    return hasD && hasX;
+  };
+  auto refreshMembership = [&](GateId id) {
+    if (!inCone[id] || (id == fault.gate && sourceSite)) return;
+    frontier.set(orderPos_[id], onFrontier(id));
+  };
+
+  // Settles every queued gate in level order (a gate's fanins sit at lower
+  // levels), then re-examines frontier membership where values moved.
+  auto imply = [&] {
+    for (std::size_t l = lowestQueued; l < buckets.size(); ++l) {
+      for (const GateId id : buckets[l]) {  // fanouts land at higher levels only
+        queued[id] = 0;
+        const Gate& g = nl.gate(id);
+        const V3 goodValue = evalGate3(g.type, g.fanins, good, FaultSite::kOutputPin, VX);
+        V3 faultyValue = goodValue;
+        if (!inCone[id]) {
+          // faulty == good outside the cone
+        } else if (id == fault.gate && fault.isOutputFault()) {
+          faultyValue = stuck;
+        } else if (id == fault.gate) {
+          faultyValue = evalGate3(g.type, g.fanins, faulty, fault.pin, stuck);
+        } else {
+          faultyValue = evalGate3(g.type, g.fanins, faulty, FaultSite::kOutputPin, VX);
+        }
+        write(id, goodValue, faultyValue);
+      }
+      buckets[l].clear();
+    }
+    lowestQueued = buckets.size();
+    for (const GateId id : changed) {
+      refreshMembership(id);
+      for (std::uint32_t k = fanoutBegin_[id]; k < fanoutBegin_[id + 1]; ++k)
+        refreshMembership(fanoutList_[k]);
+    }
+    changed.clear();
+  };
+
+  auto observed = [&] {
+    if (dffPinFault) return good[faultLine] == activate;
+    return observedDs > 0;
   };
 
   auto dFrontierPick = [&]() -> std::optional<std::pair<GateId, V3>> {
-    for (GateId id : lev_.order) {
-      if (good[id] != VX && faulty[id] != VX) continue;  // output already set
-      const Gate& g = nl.gate(id);
-      // For a pin fault, the D is injected *inside* the owning gate's
-      // evaluation, so the owner belongs to the frontier as soon as the
-      // fault is activated even though no fanin carries a plane-level D.
-      bool hasD = !fault.isOutputFault() && id == fault.gate && good[faultLine] == activate;
-      GateId xInput = kInvalidGate;
-      for (GateId f : g.fanins) {
-        if (isD(f)) hasD = true;
-        if (good[f] == VX && xInput == kInvalidGate) xInput = f;
-      }
-      if (hasD && xInput != kInvalidGate)
-        return std::make_pair(xInput, nonControlling(g.type));
+    // The lowest position is the gate a scan of lev.order would find first.
+    const std::size_t pos = frontier.findFirst();
+    if (pos == BitVector::npos) return std::nullopt;
+    const Gate& g = nl.gate(lev.order[pos]);
+    for (GateId f : g.fanins) {
+      if (good[f] == VX) return std::make_pair(f, nonControlling(g.type));
     }
+    SCANDIAG_ASSERT(false, "D-frontier gate without an X input");
     return std::nullopt;
   };
 
@@ -214,12 +325,26 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
         d.flipped = true;
         d.value = !d.value;
         ++result.stats.backtracks;
+        assignSource(d.source, d.value ? V1 : V0);
         return true;
       }
+      assignSource(d.source, VX);
       decisions.pop_back();
     }
     return false;
   };
+
+  // Inject the fault: force the site's faulty output, or re-evaluate the
+  // pin fault's owner with the pin forced.
+  if (fault.isOutputFault()) {
+    write(fault.gate, good[fault.gate], stuck);
+  } else if (!dffPinFault) {
+    queued[fault.gate] = 1;
+    buckets[lev.level[fault.gate]].push_back(fault.gate);
+    lowestQueued = lev.level[fault.gate];
+    // Its membership may hinge on activation alone, with no value changed.
+    changed.push_back(fault.gate);
+  }
 
   while (true) {
     imply();
@@ -265,6 +390,7 @@ AtpgResult PodemAtpg::generate(const FaultSite& fault, std::size_t backtrackLimi
       continue;
     }
     decisions.push_back(Decision{decision->first, decision->second, false});
+    assignSource(decision->first, decision->second ? V1 : V0);
     ++result.stats.decisions;
   }
 }
@@ -282,7 +408,7 @@ std::vector<TestCube> PodemAtpg::generateCompactSet(const std::vector<FaultSite>
     patterns = std::make_unique<PatternSet>(*netlist_, cubes.size());
     for (std::size_t t = 0; t < cubes.size(); ++t)
       cubes[t].applyTo(*patterns, t, *netlist_, 0xF111);
-    sim = std::make_unique<FaultSimulator>(*netlist_, *patterns);
+    sim = std::make_unique<FaultSimulator>(*netlist_, *patterns, lev_);
     patternsInSim = cubes.size();
   };
   for (const FaultSite& fault : faults) {

@@ -12,14 +12,26 @@
 //  * decisions are made only at sources (PIs and scan cells), chosen by
 //    backtracing the current objective through X-valued gates;
 //  * the objective is fault activation first, then D-frontier propagation;
-//  * implication is full levelized 3-valued evaluation of both planes, with
-//    the faulty plane forced at the fault site;
+//  * implication is event-driven: both planes persist across the steps of
+//    one generate() call (a decision push, a flip or a pop), and a step
+//    re-evaluates, in level order, only the fanout of the sources it changed,
+//    stopping at gates whose two values did not change. The faulty plane is
+//    evaluated only inside the fault site's fanout cone (elsewhere it equals
+//    the good plane). The planes are a pure function of the source assignment
+//    (with the faulty plane forced at the fault site), so the search is the
+//    one full re-evaluation would make;
+//  * the D-frontier is a bitset over positions in the evaluation order, and
+//    the observation test a count of observation lines carrying a D; only
+//    gates whose values changed, and their fanouts, are re-examined;
 //  * success when a D/D̄ reaches an observation point (PO or a DFF D input);
 //    exhausting the decision tree (within the backtrack limit) proves the
 //    fault untestable.
 #pragma once
 
+#include <cstdint>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/bitvector.hpp"
 #include "sim/fault_simulator.hpp"
@@ -56,9 +68,14 @@ struct AtpgResult {
   AtpgStats stats;
 };
 
+/// generate() and generateCompactSet() are const and keep all search state
+/// local, so one instance serves concurrent callers.
 class PodemAtpg {
  public:
   explicit PodemAtpg(const Netlist& netlist);
+  /// Shares `lev`, which must be levelize(netlist) — e.g. the levelization of
+  /// a FaultSimulator built on the same netlist.
+  PodemAtpg(const Netlist& netlist, std::shared_ptr<const Levelization> lev);
 
   /// Generates a test observing the fault at a scan cell or primary output.
   AtpgResult generate(const FaultSite& fault, std::size_t backtrackLimit = 5000) const;
@@ -71,7 +88,16 @@ class PodemAtpg {
 
  private:
   const Netlist* netlist_;
-  Levelization lev_;
+  std::shared_ptr<const Levelization> lev_;
+  /// Combinational fanouts in CSR form, copied at construction because
+  /// Netlist::fanouts() is an unsynchronised lazy cache.
+  std::vector<std::uint32_t> fanoutBegin_;  // [gate], size gateCount() + 1
+  std::vector<GateId> fanoutList_;
+  std::vector<std::uint32_t> orderPos_;  // [gate] position in lev_->order
+  /// [gate] how many observation points (POs, DFF D inputs) the line feeds.
+  std::vector<std::uint32_t> obsCount_;
+  /// [gate] 3-valued good value with every source X and no fault.
+  std::vector<std::uint8_t> unassigned_;
 };
 
 /// PatternSet assembled from cubes (one pattern per cube, X filled

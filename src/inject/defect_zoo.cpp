@@ -292,8 +292,10 @@ DefectZooPipeline::DefectZooPipeline(const FaultSimulator& simulator,
       refiner_(topology, policy.refineSessionBudget, simulator.patterns().numPatterns()),
       policy_(policy),
       adiPrior_(adiPriorFromGoodCaptures(topology, simulator.goodCaptures())),
-      atpg_(policy.atpgSessionBudget > 0 ? std::make_unique<PodemAtpg>(simulator.netlist())
-                                         : nullptr) {
+      atpg_(policy.atpgSessionBudget > 0
+                ? std::make_unique<PodemAtpg>(simulator.netlist(),
+                                              simulator.simulator().sharedLevelization())
+                : nullptr) {
   SCANDIAG_REQUIRE(config.scheme != SchemeKind::Adaptive,
                    "defect-zoo diagnosis needs a fixed partition schedule");
 }
@@ -384,8 +386,10 @@ void DefectZooPipeline::refine(const DefectScenario& scenario, FaultDiagnosis& d
             patternsFromCubes(netlist, cubes, 0xF1ULL ^ scenario.seed);
         d.cost += distinguishingSessionCost(distinguishing.numPatterns(), chainLength);
         // Local simulator: the shared instance is not thread-safe, and the
-        // distinguishing patterns need their own good machine anyway.
-        const FaultSimulator local(netlist, distinguishing);
+        // distinguishing patterns need their own good machine anyway. The
+        // levelization is read-only, so it is shared.
+        const FaultSimulator local(netlist, distinguishing,
+                                   sim_->simulator().sharedLevelization());
         std::vector<FaultResponse> partResponses;
         partResponses.reserve(scenario.components.size());
         for (const DefectComponent& comp : scenario.components) {

@@ -81,6 +81,7 @@ enum class Phase : unsigned {
   SignatureCompare,       // session verdicts + signature hashing
   CandidateIntersection,  // inclusion-exclusion + pruning
   Recovery,               // inconsistency analysis + retry + degradation
+  Atpg,                   // PODEM test generation (the defect ladder's stall-breaker)
   kCount,
 };
 
@@ -135,6 +136,7 @@ constexpr const char* phaseName(Phase p) {
     case Phase::SignatureCompare: return "signature_compare";
     case Phase::CandidateIntersection: return "candidate_intersection";
     case Phase::Recovery: return "recovery";
+    case Phase::Atpg: return "atpg";
     case Phase::kCount: break;
   }
   return "unknown_phase";

@@ -34,7 +34,11 @@ SimWord PatternSet::word(GateId id, std::size_t w) const {
 }
 
 FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& patterns)
-    : netlist_(&netlist), patterns_(&patterns), sim_(netlist) {
+    : FaultSimulator(netlist, patterns, std::make_shared<const Levelization>(levelize(netlist))) {}
+
+FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& patterns,
+                               std::shared_ptr<const Levelization> lev)
+    : netlist_(&netlist), patterns_(&patterns), sim_(netlist, std::move(lev)) {
   obs::PhaseScope phase(obs::Phase::GoodMachineSim);
   const std::size_t words = patterns.wordCount();
   const std::size_t numDffs = netlist.dffs().size();

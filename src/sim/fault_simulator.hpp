@@ -69,6 +69,10 @@ struct FaultResponse {
 class FaultSimulator {
  public:
   FaultSimulator(const Netlist& netlist, const PatternSet& patterns);
+  /// Shares `lev`, which must be levelize(netlist) — e.g. another simulator's
+  /// simulator().sharedLevelization() on the same netlist.
+  FaultSimulator(const Netlist& netlist, const PatternSet& patterns,
+                 std::shared_ptr<const Levelization> lev);
 
   const Netlist& netlist() const { return *netlist_; }
   const PatternSet& patterns() const { return *patterns_; }

@@ -15,7 +15,13 @@ std::string describeFault(const Netlist& netlist, const FaultSite& fault) {
 }
 
 LogicSimulator::LogicSimulator(const Netlist& netlist)
-    : netlist_(&netlist), lev_(levelize(netlist)) {}
+    : LogicSimulator(netlist, std::make_shared<const Levelization>(levelize(netlist))) {}
+
+LogicSimulator::LogicSimulator(const Netlist& netlist, std::shared_ptr<const Levelization> lev)
+    : netlist_(&netlist), lev_(std::move(lev)) {
+  SCANDIAG_REQUIRE(lev_ != nullptr && lev_->level.size() == netlist.gateCount(),
+                   "levelization does not match the netlist");
+}
 
 namespace {
 
@@ -65,7 +71,7 @@ void LogicSimulator::evaluate(std::vector<SimWord>& values) const {
     if (t == GateType::Const0) values[id] = SimWord{0};
     if (t == GateType::Const1) values[id] = ~SimWord{0};
   }
-  for (GateId id : lev_.order) {
+  for (GateId id : lev_->order) {
     const Gate& g = netlist_->gate(id);
     values[id] = combine(g.type, g.fanins, values, FaultSite::kOutputPin, 0);
   }

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "netlist/cone_analysis.hpp"
@@ -41,9 +42,13 @@ std::string describeFault(const Netlist& netlist, const FaultSite& fault);
 class LogicSimulator {
  public:
   explicit LogicSimulator(const Netlist& netlist);
+  /// Shares `lev`, which must be levelize(netlist): everything built on one
+  /// netlist can use one levelization instead of recomputing it.
+  LogicSimulator(const Netlist& netlist, std::shared_ptr<const Levelization> lev);
 
   const Netlist& netlist() const { return *netlist_; }
-  const Levelization& levelization() const { return lev_; }
+  const Levelization& levelization() const { return *lev_; }
+  const std::shared_ptr<const Levelization>& sharedLevelization() const { return lev_; }
 
   /// values.size() == gateCount(). Source entries must be pre-set by the
   /// caller (Const0/Const1 are overwritten with their constants); all
@@ -66,7 +71,7 @@ class LogicSimulator {
                                SimWord forced) const;
 
   const Netlist* netlist_;
-  Levelization lev_;
+  std::shared_ptr<const Levelization> lev_;
 };
 
 }  // namespace scandiag

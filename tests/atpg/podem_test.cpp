@@ -1,5 +1,7 @@
 #include "atpg/podem.hpp"
 
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "bist/prpg.hpp"
@@ -156,6 +158,39 @@ TEST(Podem, CompactSetCoversItsFaults) {
     }
   }
   EXPECT_EQ(uncovered, 0u);
+}
+
+TEST(Podem, ConcurrentCallersSeeTheSerialSearch) {
+  // generate() is const and keeps its search state local: defect-ladder
+  // workers call one instance at once (the sanitizer job runs this test).
+  const Netlist nl = generateNamedCircuit("s953");
+  const PodemAtpg atpg(nl);
+  const std::vector<FaultSite> faults = FaultList::enumerateCollapsed(nl).sample(200, 0xC0C0);
+  constexpr std::size_t kBacktrackLimit = 100;
+  std::vector<AtpgResult> serial;
+  for (const FaultSite& f : faults) serial.push_back(atpg.generate(f, kBacktrackLimit));
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<AtpgResult>> parallel(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      // Each thread walks the list from its own offset, so calls overlap.
+      for (std::size_t i = 0; i < faults.size(); ++i)
+        parallel[t].push_back(atpg.generate(faults[(i + 37 * t) % faults.size()], kBacktrackLimit));
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      const AtpgResult& want = serial[(i + 37 * t) % faults.size()];
+      const AtpgResult& got = parallel[t][i];
+      ASSERT_EQ(got.outcome, want.outcome) << "thread " << t << " call " << i;
+      ASSERT_EQ(got.stats.decisions, want.stats.decisions);
+      ASSERT_EQ(got.stats.backtracks, want.stats.backtracks);
+      ASSERT_EQ(got.cube.care, want.cube.care);
+      ASSERT_EQ(got.cube.value, want.cube.value);
+    }
+  }
 }
 
 TEST(Podem, CubeApplyFillsDeterministically) {

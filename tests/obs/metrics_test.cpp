@@ -41,6 +41,7 @@ TEST_F(MetricsTest, NamesAreUniqueAndStable) {
   // These names are the JSON schema; renaming one is a schema_version bump.
   EXPECT_STREQ(counterName(Counter::SessionsRun), "sessions_run");
   EXPECT_STREQ(phaseName(Phase::GoodMachineSim), "good_machine_sim");
+  EXPECT_STREQ(phaseName(Phase::Atpg), "atpg");
 }
 
 TEST_F(MetricsTest, AddIsVisibleInSnapshot) {
@@ -209,7 +210,8 @@ constexpr const char* kPopulatedSnapshotJson =
     R"("phases":{"good_machine_sim":{"nanos":1000,"calls":1},)"
     R"("faulty_sim":{"nanos":2000,"calls":1},"partition_gen":{"nanos":3000,"calls":1},)"
     R"("signature_compare":{"nanos":4000,"calls":1},)"
-    R"("candidate_intersection":{"nanos":5000,"calls":1},"recovery":{"nanos":6000,"calls":1}},)"
+    R"("candidate_intersection":{"nanos":5000,"calls":1},"recovery":{"nanos":6000,"calls":1},)"
+    R"("atpg":{"nanos":7000,"calls":1}},)"
     R"("workers":[{"worker":0,"busy_nanos":123,"tasks":1},)"
     R"({"worker":5,"busy_nanos":456,"tasks":1}]})";
 
