@@ -131,23 +131,20 @@
 //      confidence — degrade, never lie)
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "args.hpp"
 #include "common/watchdog.hpp"
 #include "core/scandiag.hpp"
 #include "diagnosis/checkpoint.hpp"
@@ -170,88 +167,8 @@ enum ExitCode {
   kExitDefectSuperset = 8,
 };
 
-/// A count: starts with a digit (decimal, 0x hex or leading-0 octal, as
-/// strtoull's base 0 reads it) and fits in 64 bits. No sign, no whitespace.
-std::optional<std::uint64_t> parseCount(const std::string& text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 0);
-  if (errno == ERANGE || *end != '\0') return std::nullopt;
-  return value;
-}
-
-/// A finite non-negative real: starts with a digit or '.', no sign, no
-/// whitespace, no inf/nan.
-std::optional<double> parseReal(const std::string& text) {
-  if (text.empty() || !(std::isdigit(static_cast<unsigned char>(text[0])) || text[0] == '.'))
-    return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !std::isfinite(value)) return std::nullopt;
-  return value;
-}
-
-struct Args {
-  std::vector<std::string> positional;  // [0] is the command
-  std::map<std::string, std::string> options;
-  std::set<std::string> flags;
-
-  /// Parses argv for the command argv[1]. `accepted` lists the options it
-  /// takes besides --threads and --metrics, space-separated, each suffixed
-  /// by its kind: '#' a count, '%' a real number, '=' free text, none a flag.
-  /// Anything else, or a value of the wrong kind, is a usage error.
-  static Args parse(int argc, char** argv, const std::string& accepted) {
-    std::map<std::string, char> kinds{{"threads", '#'}, {"metrics", '='}};
-    std::istringstream names(accepted);
-    for (std::string name; names >> name;) {
-      const bool valued = name.back() == '#' || name.back() == '%' || name.back() == '=';
-      kinds[valued ? name.substr(0, name.size() - 1) : name] = valued ? name.back() : ' ';
-    }
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--", 0) != 0) {
-        args.positional.push_back(a);
-        continue;
-      }
-      const std::string key = a.substr(2);
-      const auto kind = kinds.find(key);
-      if (kind == kinds.end())
-        throw std::invalid_argument(std::string(argv[1]) + ": unknown option --" + key);
-      if (kind->second == ' ') {
-        args.flags.insert(key);
-        continue;
-      }
-      if (i + 1 >= argc) throw std::invalid_argument("option --" + key + " needs a value");
-      const std::string value = argv[++i];
-      if ((kind->second == '#' && !parseCount(value)) ||
-          (kind->second == '%' && !parseReal(value)))
-        throw std::invalid_argument("option --" + key + " needs a number, got '" + value + "'");
-      args.options[key] = value;
-    }
-    return args;
-  }
-
-  const std::string& positionalAt(std::size_t i, const std::string& what) const {
-    if (i >= positional.size()) throw std::invalid_argument("missing " + what + " argument");
-    return positional[i];
-  }
-  bool has(const std::string& key) const { return options.count(key) != 0; }
-  std::string get(const std::string& key, const std::string& def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : it->second;
-  }
-  std::size_t getN(const std::string& key, std::size_t def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : *parseCount(it->second);
-  }
-  double getD(const std::string& key, double def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : *parseReal(it->second);
-  }
-  bool getFlag(const std::string& key) const { return flags.count(key) != 0; }
-};
+using cli::Args;
+using cli::parseCount;
 
 /// Stderr line for exit 5: the diagnosis stayed inconsistent after recovery
 /// (a widened superset was printed).
@@ -944,8 +861,8 @@ int cmdServeLedger(const Args& args) {
   return ledger.balanced() ? kExitOk : kExitFailure;
 }
 
-/// One CLI command: its name, the options it takes (see Args::parse), and its
-/// handler.
+/// One CLI command: its name, the options it takes besides --threads and
+/// --metrics (see Args::parse), and its handler.
 struct Command {
   const char* name;
   std::string options;
@@ -1015,7 +932,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: unknown command '%s'\n", argv[1]);
       return usage();
     }
-    parsed = Args::parse(argc, argv, command->options);
+    parsed = Args::parse(argc, argv, command->options + " threads# metrics=", argv[1]);
     const Args& args = *parsed;
     if (args.has("threads")) setGlobalThreadCount(args.getN("threads", 0));
     const int rc = command->run(args);

@@ -23,7 +23,8 @@
 //   0  terminal reply received (Ok, or Deadline with a usable superset)
 //   1  request failed (server Error reply, retry budget exhausted, protocol
 //      garbage)
-//   2  usage error
+//   2  usage error (an unknown option, or a count that is not a whole
+//      unsigned number that fits in 64 bits), reported before connecting
 //   3  --log file not found
 //   5  reply unresolved (deadline degraded or widened superset) — the
 //      candidates printed are a sound superset, same meaning as scandiag's
@@ -32,13 +33,12 @@
 //      defect budget (deadline pressure or union beyond the fault budget) —
 //      same meaning as scandiag's exit 8
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 
+#include "args.hpp"
 #include "common/json.hpp"
 #include "serve/client.hpp"
 
@@ -55,41 +55,19 @@ enum ExitCode {
   kExitDefectSuperset = 8,
 };
 
-struct Args {
-  std::map<std::string, std::string> options;
-  std::map<std::string, bool> flags;
+using cli::Args;
 
-  static Args parse(int argc, char** argv) {
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
-      if (a.rfind("--", 0) != 0)
-        throw std::invalid_argument("unexpected positional argument '" + a + "'");
-      const std::string key = a.substr(2);
-      if (key == "ping" || key == "stats" || key == "json") {
-        args.flags[key] = true;
-      } else if (i + 1 < argc) {
-        args.options[key] = argv[++i];
-      } else {
-        throw std::invalid_argument("option --" + key + " needs a value");
-      }
-    }
-    return args;
-  }
+/// Every option the client takes, with its kind (see cli::Args::parse).
+constexpr const char* kOptions =
+    "socket= fault= sa# log= defects= defect-index# defect-seed# ping stats "
+    "retries# timeout-ms# jitter-seed# json";
 
-  std::string get(const std::string& key, const std::string& def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : it->second;
-  }
-  std::size_t getN(const std::string& key, std::size_t def) const {
-    const auto it = options.find(key);
-    return it == options.end() ? def : std::strtoull(it->second.c_str(), nullptr, 0);
-  }
-  bool getFlag(const std::string& key) const {
-    const auto it = flags.find(key);
-    return it != flags.end() && it->second;
-  }
-};
+Args parseArgs(int argc, char** argv) {
+  Args args = Args::parse(argc, argv, kOptions, "scandiag_client");
+  if (!args.positional.empty())
+    throw std::invalid_argument("unexpected positional argument '" + args.positional[0] + "'");
+  return args;
+}
 
 serve::ClientOptions clientOptionsFrom(const Args& args) {
   serve::ClientOptions options;
@@ -217,14 +195,14 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   try {
-    return run(Args::parse(argc, argv));
+    return run(parseArgs(argc, argv));
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     std::fprintf(stderr,
                  "usage: scandiag_client --socket PATH "
                  "(--fault GATE [--sa 0|1] | --log FILE | "
                  "--defects SPEC [--defect-index N] [--defect-seed N] | --ping | --stats) "
-                 "[--retries N] [--timeout-ms N] [--json]\n");
+                 "[--retries N] [--timeout-ms N] [--jitter-seed N] [--json]\n");
     return kExitUsage;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
