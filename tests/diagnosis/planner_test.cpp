@@ -96,7 +96,9 @@ TEST_F(PlannerFixture, CustomCandidateListRespected) {
   request.targetDr = 0.8;
   request.groupCandidates = {8};
   const PlanResult plan = planDiagnosis(work().topology, work().responses, request);
-  if (plan.feasible) EXPECT_EQ(plan.config.groupsPerPartition, 8u);
+  if (plan.feasible) {
+    EXPECT_EQ(plan.config.groupsPerPartition, 8u);
+  }
 }
 
 TEST(Planner, EmptySampleRejected) {
