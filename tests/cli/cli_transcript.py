@@ -23,6 +23,8 @@ CASES = {
     "dr_s953": "dr s953 --json --faults 50",
     "dr_s953_adaptive": "dr s953 --scheme adaptive --json --faults 50",
     "dr_s953_noise": "dr s953 --noise 0.02 --retry-budget 64 --faults 50 --json",
+    "dr_s953_adaptive_noise":
+        "dr s953 --scheme adaptive --noise 0.02 --retry-budget 64 --faults 50 --json",
     "dr_s953_intermittent": "dr s953 --defects 2,intermittent:0.5 --faults 10 --json",
     "diagnose_s953": "diagnose s953 --fault g100 --json",
     "diagnose_s953_noise": "diagnose s953 --fault g100 --noise 0.05 --json",
