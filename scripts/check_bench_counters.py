@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Counter-exact bench regression gate.
+"""Counter- and row-exact bench regression gate.
 
 Bench executables emit results/BENCH_<name>.json with a "counters" section
 (see src/obs/export.hpp) whose values tally pipeline work items and are
-bit-identical across thread counts and runs. This script diffs that section —
-and nothing else; timings ("phases", "workers", "timing") are wall-clock and
-explicitly excluded — against checked-in goldens in results/golden/.
-Goldens are sparse: a counter absent from either side reads as 0, so a golden
-lists only its nonzero counters and a new counter that stays at 0 touches no
-golden. The comparison is still exact: a nonzero counter missing from the
-golden, or any value that differs, is drift.
+bit-identical across thread counts and runs, and a "rows" section holding
+the bench's results table. This script diffs the counters against
+checked-in goldens in results/golden/, and the rows too whenever the golden
+has them; timings ("phases", "workers", "timing") are wall-clock and
+explicitly excluded. Goldens are sparse: a counter absent from either side
+reads as 0, so a golden lists only its nonzero counters and a new counter
+that stays at 0 touches no golden. The comparison is still exact: a nonzero
+counter missing from the golden, or any value that differs, is drift. Rows
+compare exactly, as parsed JSON: the same rows, in the same order, with the
+same values.
 
 Usage:
   check_bench_counters.py [options] [NAME ...]
@@ -17,9 +20,12 @@ Usage:
       Default NAMEs: every golden present in the golden directory.
   check_bench_counters.py --update [NAME ...]
       Regenerate goldens from the current results (minimal documents:
-      schema_version + bench + the nonzero counters).
+      schema_version + bench + the nonzero counters + the rows). The rows
+      are left out for the benches in TIMED_ROWS, whose rows hold
+      wall-clock columns.
   check_bench_counters.py --diff A.json B.json
-      Compare the counters sections of two arbitrary report files.
+      Compare the counters sections of two arbitrary report files (rows are
+      not compared: a timed bench's rows differ between any two runs).
   check_bench_counters.py --require-nonzero COUNTER [NAME ...]
       Additionally fail if COUNTER is missing or zero in any compared result
       (e.g. cone_cache_hits: a zero means the fault-simulator cone cache never
@@ -47,7 +53,8 @@ Usage:
       dedup speeds sweeps up and streaming holds memory flat. Counter
       comparison always runs — only wall-clock ratio gates are waived.
 
-Exit status: 0 = counters identical, 1 = drift or missing file, 2 = usage.
+Exit status: 0 = counters (and golden rows) identical, 1 = drift or missing
+file, 2 = usage.
 """
 
 import argparse
@@ -58,6 +65,10 @@ import tempfile
 from pathlib import Path
 
 GOLDEN_KEYS = ("schema_version", "bench", "counters")
+# Benches whose rows hold wall-clock columns: their goldens keep counters only.
+TIMED_ROWS = frozenset({"perf", "soc_scale"})
+# Differing rows printed per bench before the rest are summarized.
+MAX_ROW_REPORTS = 5
 
 
 class LoadError(Exception):
@@ -107,6 +118,24 @@ def diff_counters(name: str, expected: dict, actual: dict,
     return ok
 
 
+def diff_rows(name: str, expected: list, actual) -> bool:
+    """Prints row drift; returns True when the rows are identical."""
+    if expected == actual:
+        return True
+    if not isinstance(actual, list):
+        print(f"  {name}: result has no rows list (golden has {len(expected)} rows)")
+        return False
+    if len(expected) != len(actual):
+        print(f"  {name}: {len(actual)} rows, golden has {len(expected)}")
+    differing = [i for i, (want, got) in enumerate(zip(expected, actual)) if want != got]
+    for i in differing[:MAX_ROW_REPORTS]:
+        print(f"  {name}: row {i} drifted: golden {json.dumps(expected[i])} -> "
+              f"actual {json.dumps(actual[i])}")
+    if len(differing) > MAX_ROW_REPORTS:
+        print(f"  {name}: ... and {len(differing) - MAX_ROW_REPORTS} more rows")
+    return False
+
+
 def compare(name: str, result_path: Path, golden_path: Path,
             ignore: frozenset = frozenset()) -> bool:
     result, golden = load(result_path), load(golden_path)
@@ -117,6 +146,8 @@ def compare(name: str, result_path: Path, golden_path: Path,
         ok = False
     ok &= diff_counters(name, counters_of(golden, golden_path),
                         counters_of(result, result_path), ignore)
+    if "rows" in golden:
+        ok &= diff_rows(name, golden["rows"], result.get("rows"))
     return ok
 
 
@@ -240,6 +271,8 @@ def main() -> int:
                 golden = {k: doc[k] for k in GOLDEN_KEYS if k in doc}
                 counters = counters_of(golden, args.results / f"BENCH_{name}.json")
                 golden["counters"] = {k: v for k, v in counters.items() if v != 0}
+                if name not in TIMED_ROWS and "rows" in doc:
+                    golden["rows"] = doc["rows"]
             except LoadError as e:
                 print(f"  {name}: {e}")
                 update_failed.append(name)
@@ -273,11 +306,11 @@ def main() -> int:
                       f"{'missing' if value is None else value} (must be > 0)")
                 ok = False
         if ok:
-            print(f"ok: {name} counters match golden")
+            print(f"ok: {name} matches golden")
         else:
             failed.append(name)
     if failed:
-        print(f"FAIL: counter drift in: {', '.join(failed)}\n"
+        print(f"FAIL: counter or row drift in: {', '.join(failed)}\n"
               "If the change is intentional (new instrumentation site, workload "
               "change), regenerate with scripts/check_bench_counters.py --update "
               "and commit the goldens.", file=sys.stderr)
