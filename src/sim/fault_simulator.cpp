@@ -48,7 +48,7 @@ FaultSimulator::FaultSimulator(const Netlist& netlist, const PatternSet& pattern
 
   goodValues_.assign(words, std::vector<SimWord>(netlist.gateCount(), 0));
   goodCaptures_.assign(numDffs, BitVector(patterns.numPatterns()));
-  coneCache_ = std::make_unique<ConeEntry[]>(netlist.gateCount());
+  coneCache_.resize(netlist.gateCount());
   for (std::size_t w = 0; w < words; ++w) {
     std::vector<SimWord>& values = goodValues_[w];
     for (GateId id = 0; id < netlist.gateCount(); ++id) {
@@ -86,37 +86,39 @@ FaultResponse FaultSimulator::dffPinResponse(const FaultSite& fault) const {
 }
 
 const FaultSimulator::ConeEntry& FaultSimulator::coneEntry(GateId site) const {
-  ConeEntry& entry = coneCache_[site];
-  bool builtNow = false;
-  std::call_once(entry.once, [&] {
-    builtNow = true;
-    entry.cone = computeCone(*netlist_, sim_.levelization(), site);
-    entry.sourceSite = isSourceType(netlist_->gate(site).type);
-    entry.ordinals = entry.cone.reachableDffs.toIndices();
-    // Save-slot layout: cone.gates in order, then (for a source site) one
-    // extra slot for the site itself, which evaluateFaulty forces directly.
-    std::unordered_map<GateId, std::size_t> slotOf;
-    slotOf.reserve(entry.cone.gates.size() + 1);
-    for (std::size_t j = 0; j < entry.cone.gates.size(); ++j) {
-      slotOf.emplace(entry.cone.gates[j], j);
-    }
-    if (entry.sourceSite) slotOf.emplace(site, entry.cone.gates.size());
-    entry.drivers.reserve(entry.ordinals.size());
-    entry.driverSlot.reserve(entry.ordinals.size());
-    for (const std::size_t k : entry.ordinals) {
-      const GateId driver = netlist_->gate(netlist_->dffs()[k]).fanins[0];
-      // A DFF is reachable only via its D-input driver, so the driver is a
-      // visited gate: combinational (in cone.gates) or the source site.
-      const auto it = slotOf.find(driver);
-      SCANDIAG_ASSERT(it != slotOf.end(), "reachable DFF driver outside the fault cone");
-      entry.drivers.push_back(driver);
-      entry.driverSlot.push_back(it->second);
-    }
-  });
+  std::unique_ptr<ConeEntry>& slot = coneCache_[site];
   // Hits = cone-path simulate calls minus distinct sites, both functions of
   // the fault list alone — deterministic at every thread count.
-  if (!builtNow) obs::count(obs::Counter::ConeCacheHits);
-  return entry;
+  if (slot) {
+    obs::count(obs::Counter::ConeCacheHits);
+    return *slot;
+  }
+  // Built aside and published whole, so a throw leaves the slot empty.
+  auto entry = std::make_unique<ConeEntry>();
+  entry->cone = computeCone(*netlist_, sim_.levelization(), site);
+  entry->sourceSite = isSourceType(netlist_->gate(site).type);
+  entry->ordinals = entry->cone.reachableDffs.toIndices();
+  // Save-slot layout: cone.gates in order, then (for a source site) one
+  // extra slot for the site itself, which evaluateFaulty forces directly.
+  std::unordered_map<GateId, std::size_t> slotOf;
+  slotOf.reserve(entry->cone.gates.size() + 1);
+  for (std::size_t j = 0; j < entry->cone.gates.size(); ++j) {
+    slotOf.emplace(entry->cone.gates[j], j);
+  }
+  if (entry->sourceSite) slotOf.emplace(site, entry->cone.gates.size());
+  entry->drivers.reserve(entry->ordinals.size());
+  entry->driverSlot.reserve(entry->ordinals.size());
+  for (const std::size_t k : entry->ordinals) {
+    const GateId driver = netlist_->gate(netlist_->dffs()[k]).fanins[0];
+    // A DFF is reachable only via its D-input driver, so the driver is a
+    // visited gate: combinational (in cone.gates) or the source site.
+    const auto it = slotOf.find(driver);
+    SCANDIAG_ASSERT(it != slotOf.end(), "reachable DFF driver outside the fault cone");
+    entry->drivers.push_back(driver);
+    entry->driverSlot.push_back(it->second);
+  }
+  slot = std::move(entry);
+  return *slot;
 }
 
 FaultResponse FaultSimulator::simulate(const FaultSite& fault) const {

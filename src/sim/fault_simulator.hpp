@@ -16,7 +16,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/bitvector.hpp"
@@ -106,13 +105,12 @@ class FaultSimulator {
                                              std::size_t target) const;
 
  private:
-  /// Per-gate cone data, computed once per site and reused by every fault on
-  /// that gate (output SA0/SA1 and all pin faults share the output cone).
-  /// call_once keeps lazy initialization safe even under (unsupported but
-  /// conceivable) concurrent reads; after the first build the entry is
-  /// immutable.
+  /// Per-site cone data, computed on the first simulate() of a fault on that
+  /// gate and reused by every later one (output SA0/SA1 and all pin faults
+  /// share the output cone). Immutable once built. Entries are created only
+  /// for simulated sites, so a simulator that sees two or three sites pays
+  /// for two or three entries, not one per gate.
   struct ConeEntry {
-    std::once_flag once;
     FaultCone cone;
     /// Site is a source gate: evaluateFaulty may force values[site], which is
     /// outside cone.gates, so save/restore needs one extra slot for it.
@@ -142,7 +140,7 @@ class FaultSimulator {
   mutable std::vector<std::vector<SimWord>> goodValues_;  // [word][gate]
   std::vector<BitVector> goodCaptures_;                   // [dff ordinal][pattern]
   std::vector<std::size_t> dffOrdinal_;                   // gate id -> ordinal (or npos)
-  mutable std::unique_ptr<ConeEntry[]> coneCache_;        // [gate id]
+  mutable std::vector<std::unique_ptr<ConeEntry>> coneCache_;  // [gate id]; null = unbuilt
   mutable SimScratch scratch_;
 };
 
