@@ -4,6 +4,10 @@
     expect_exit.py --exit 2 --stderr "unknown option" -- scandiag dr s953 --jsno
     expect_exit.py --exit 0 --stdout "DR = 8.1080" -- scandiag dr s953 ...
     expect_exit.py --exit 8 --creates m.json -- scandiag dr s953 --defects 2 ...
+    expect_exit.py --exit 2 --empty-stdout -- scandiag soc-dr soc1 --groups 3
+
+--empty-stdout requires the command to print nothing on stdout (a usage
+error must not leave a partial report behind).
 
 --creates PATH removes PATH before the run and requires it to exist after,
 to parse as JSON, and to be a metrics document (schema_version 1 and a
@@ -40,6 +44,8 @@ def main():
     parser.add_argument("--exit", type=int, required=True, help="expected exit code")
     parser.add_argument("--stdout", default="", help="text stdout must contain")
     parser.add_argument("--stderr", default="", help="text stderr must contain")
+    parser.add_argument("--empty-stdout", action="store_true",
+                        help="require the command to print nothing on stdout")
     parser.add_argument("--creates", default="", help="metrics file the command must write")
     parser.add_argument("command", nargs=argparse.REMAINDER)
     opts = parser.parse_args()
@@ -53,6 +59,8 @@ def main():
         problems.append(f"exit {proc.returncode}, expected {opts.exit}")
     if opts.stdout not in proc.stdout:
         problems.append(f"stdout lacks {opts.stdout!r}")
+    if opts.empty_stdout and proc.stdout:
+        problems.append("stdout is not empty")
     if opts.stderr not in proc.stderr:
         problems.append(f"stderr lacks {opts.stderr!r}")
     if opts.creates:

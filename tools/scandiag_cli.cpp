@@ -640,11 +640,13 @@ int cmdSocDr(const Args& args) {
                    {"patterns", workload.numPatterns}, {"faults", workload.numFaults},
                    {"fault_seed", workload.faultSeed}, {"schema", obs::kMetricsSchemaVersion}});
   const CliRunState run = cliRunFrom(args, digest, "scandiag soc-dr " + which);
+  // Header after the sweep: a config the pipeline rejects leaves stdout empty.
+  const std::vector<SocDrRow> rows =
+      evaluateSocDr(soc, workload, config, run.control(), run.checkpoint.get());
   std::printf("%s: %zu cores, %zu cells, %zu meta chains — %s%s\n", soc.name().c_str(),
               soc.coreCount(), soc.totalCells(), soc.topology().numChains(),
               schemeName(config.scheme).c_str(), config.pruning ? " + pruning" : "");
-  for (const SocDrRow& row :
-       evaluateSocDr(soc, workload, config, run.control(), run.checkpoint.get())) {
+  for (const SocDrRow& row : rows) {
     std::printf("  failing %-9s DR = %8.3f (%zu faults)\n", row.failingCore.c_str(),
                 row.report.dr, row.report.faults);
   }
