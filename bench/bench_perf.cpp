@@ -297,12 +297,13 @@ ContentionComparison measureCounterContention() {
   return cmp;
 }
 
-/// Batched vs per-session scorer over the full s38584 workload, single
-/// thread, engine-level (no analyzer) so the ratio isolates session scoring.
+/// Batched (run) vs per-session reference (runReference) scorer over the full
+/// s38584 workload, single thread, engine-level (no analyzer) so the ratio
+/// isolates session scoring.
 /// Runs after the BenchReport reset on purpose: every sweep is fixed-size and
 /// single-threaded, so its counter increments are deterministic and belong in
 /// the gated section (they are what make batched_group_scores nonzero here).
-struct SessionScorerComparison {
+struct ScorerComparison {
   double referenceMillis = 0.0;
   double batchedMillis = 0.0;
   double referenceSessionsPerSec = 0.0;
@@ -311,8 +312,8 @@ struct SessionScorerComparison {
   std::size_t sessionsPerSweep = 0;
 };
 
-SessionScorerComparison measureSessionScorerSpeedup(
-    const DiagnosisPipeline& pipeline, const std::vector<FaultResponse>& responses) {
+ScorerComparison measureScorerSpeedup(const DiagnosisPipeline& pipeline,
+                                      const std::vector<FaultResponse>& responses) {
   const SessionEngine& engine = pipeline.engine();
   const PreparedPartitionSet& prepared = pipeline.prepared();
   const auto sweepMillis = [&](auto&& runOne) {
@@ -327,7 +328,7 @@ SessionScorerComparison measureSessionScorerSpeedup(
     return best;
   };
 
-  SessionScorerComparison cmp;
+  ScorerComparison cmp;
   cmp.sessionsPerSweep = responses.size() * prepared.totalGroups();
   SessionBatchScratch scratch;
   // Warm-up both paths once (prepared tables are already built; this warms
@@ -335,9 +336,9 @@ SessionScorerComparison measureSessionScorerSpeedup(
   sweepMillis([&](const FaultResponse& r) { return engine.runReference(prepared, r); });
   cmp.referenceMillis =
       sweepMillis([&](const FaultResponse& r) { return engine.runReference(prepared, r); });
-  sweepMillis([&](const FaultResponse& r) { return engine.runBatched(prepared, r, &scratch); });
+  sweepMillis([&](const FaultResponse& r) { return engine.run(prepared, r, &scratch); });
   cmp.batchedMillis =
-      sweepMillis([&](const FaultResponse& r) { return engine.runBatched(prepared, r, &scratch); });
+      sweepMillis([&](const FaultResponse& r) { return engine.run(prepared, r, &scratch); });
   cmp.referenceSessionsPerSec =
       1000.0 * static_cast<double>(cmp.sessionsPerSweep) / cmp.referenceMillis;
   cmp.batchedSessionsPerSec =
@@ -395,8 +396,8 @@ void reportParallelSpeedup() {
   setGlobalThreadCount(1);
   const DiagnosisPipeline scoringPipeline(
       work.topology, presets::fig5Config(SchemeKind::TwoStep, /*maxPartitions=*/16));
-  const SessionScorerComparison scorer =
-      measureSessionScorerSpeedup(scoringPipeline, work.responses);
+  const ScorerComparison scorer =
+      measureScorerSpeedup(scoringPipeline, work.responses);
   report.row({{"kind", "session_reference"},
               {"millis", scorer.referenceMillis},
               {"sessions_per_second", scorer.referenceSessionsPerSec},

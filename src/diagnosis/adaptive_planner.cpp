@@ -51,7 +51,7 @@ std::uint64_t poolSeed(std::size_t k) {
 }  // namespace
 
 AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisConfig& config)
-    : topology_(&topology), config_(config), engine_(topology, sessionConfigFor(config)) {
+    : topology_(&topology), config_(config) {
   if (config.scheme != SchemeKind::Adaptive) {
     throw std::invalid_argument("AdaptivePlanner requires scheme == adaptive");
   }
@@ -142,7 +142,7 @@ double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std:
   return score;
 }
 
-AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
+AdaptiveOutcome AdaptivePlanner::run(const SessionEngine& engine, const FaultResponse& response,
                                      const RowObserver& observer) const {
   const bool fixedOrder = config_.schemeConfig.adaptive.forceFixedOrder;
   const std::size_t length = topology_->maxChainLength();
@@ -155,6 +155,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
   std::vector<std::uint32_t> counts(pool_.totalGroups());
   std::size_t observedSpread = 0;  // max failing-group count seen; 0 = nothing yet
   std::uint64_t pruned = 0;
+  SessionBatchScratch scratch;  // shared by this fault's steps
 
   for (;;) {
     const std::size_t before = survivors.count();
@@ -190,7 +191,7 @@ AdaptiveOutcome AdaptivePlanner::run(const FaultResponse& response,
     }
 
     used[pick] = 1;
-    PartitionVerdictRow row = engine_.runPartition(pool_, pick, response);
+    PartitionVerdictRow row = engine.runPartition(pool_, pick, response, &scratch);
     if (observer) observer(out.chosen.size(), pick, row);
     observedSpread = std::max<std::size_t>(observedSpread, std::max<std::size_t>(row.failing.count(), 1));
 

@@ -19,8 +19,9 @@
 //      failing-group count observed so far; a prior of 2 before the first
 //      observation). Score = (log2(n) − log2(E)) / sessions, so information
 //      is charged per session exactly as CostModel charges tester time.
-//   3. The best candidate (ties → lowest pool index) is run through
-//      SessionEngine::runPartition, its failing-group union intersects S, and
+//   3. The best candidate (ties → lowest pool index) is run through the
+//      pipeline engine's SessionEngine::runPartition (the same scoring kernel
+//      as a fixed schedule), its failing-group union intersects S, and
 //      the loop repeats until S cannot shrink (≤ 1 position, or no candidate
 //      scores positive — the remaining budget is *saved*), or the session
 //      budget is exhausted.
@@ -83,11 +84,12 @@ class AdaptivePlanner {
   /// The prepared candidate pool (index space of AdaptiveOutcome::chosen).
   const PreparedPartitionSet& pool() const { return pool_; }
   std::size_t sessionBudget() const { return budget_; }
-  const SessionEngine& engine() const { return engine_; }
 
-  /// Runs the greedy loop for one fault. Deterministic for a given response
-  /// and observer behavior; the observer may be null.
-  AdaptiveOutcome run(const FaultResponse& response, const RowObserver& observer = {}) const;
+  /// Runs the greedy loop for one fault, scoring each step on `engine` — the
+  /// pipeline's engine, built from the same DiagnosisConfig. Deterministic
+  /// for a given response and observer behavior; the observer may be null.
+  AdaptiveOutcome run(const SessionEngine& engine, const FaultResponse& response,
+                      const RowObserver& observer = {}) const;
 
   /// The realized schedule of an outcome as a plain partition list (copies of
   /// the chosen pool entries), for recovery and analyzer entry points.
@@ -105,7 +107,6 @@ class AdaptivePlanner {
   PreparedPartitionSet pool_;
   std::vector<PoolKind> kinds_;  // parallel to pool_.partitions()
   std::size_t budget_ = 0;
-  SessionEngine engine_;
 };
 
 }  // namespace scandiag

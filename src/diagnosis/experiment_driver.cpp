@@ -13,16 +13,6 @@
 
 namespace scandiag {
 
-SessionConfig sessionConfigFor(const DiagnosisConfig& config) {
-  SessionConfig sc;
-  sc.mode = config.mode;
-  sc.numPatterns = config.numPatterns;
-  sc.misrDegree = config.misrDegree;
-  sc.computeSignatures = config.pruning;
-  sc.scorer = config.batchedScoring ? SessionScorer::Batched : SessionScorer::PerSession;
-  return sc;
-}
-
 std::vector<Partition> buildPartitions(const DiagnosisConfig& config, std::size_t chainLength) {
   auto scheme =
       makeScheme(config.scheme, config.schemeConfig, chainLength, config.groupsPerPartition);
@@ -36,7 +26,11 @@ DiagnosisPipeline::DiagnosisPipeline(const ScanTopology& topology, const Diagnos
       prepared_(config.scheme == SchemeKind::Adaptive
                     ? PreparedPartitionSet{}
                     : PreparedPartitionSet(buildPartitions(config, topology.maxChainLength()))),
-      engine_(topology, sessionConfigFor(config)),
+      // The pipeline's one engine; its adaptive planner scores steps on it too.
+      engine_(topology, SessionConfig{.mode = config.mode,
+                                      .numPatterns = config.numPatterns,
+                                      .misrDegree = config.misrDegree,
+                                      .computeSignatures = config.pruning}),
       analyzer_(topology),
       pruner_(topology),
       corruptor_(noise),
@@ -83,7 +77,8 @@ FaultDiagnosis DiagnosisPipeline::diagnose(const FaultInput& input, SessionBatch
     const auto observe = [&](std::size_t step, std::size_t poolIndex, PartitionVerdictRow& row) {
       perturb(row, adaptive_->pool().partition(poolIndex), step, 0);
     };
-    planned = adaptive_->run(response, noisy ? AdaptivePlanner::RowObserver(observe) : nullptr);
+    planned = adaptive_->run(engine_, response,
+                             noisy ? AdaptivePlanner::RowObserver(observe) : nullptr);
     verdicts = std::move(planned->verdicts);
     out.sessionsSpent = planned->sessionsUsed;
     out.cost = adaptiveRunCost(planned->sessionsUsed, config_.numPatterns,
@@ -126,8 +121,9 @@ FaultDiagnosis DiagnosisPipeline::diagnose(const FaultInput& input, SessionBatch
     const std::vector<Partition>& schedule = planned ? realized : partitions;
     const PartitionRerun rerun = [&](std::size_t p, std::size_t attempt) {
       PartitionVerdictRow row =
-          planned ? adaptive_->engine().runPartition(adaptive_->pool(), planned->chosen[p], response)
-                  : engine_.runPartition(prepared_, p, response);
+          planned ? engine_.runPartition(adaptive_->pool(), planned->chosen[p], response,
+                                         scratch)
+                  : engine_.runPartition(prepared_, p, response, scratch);
       perturb(row, schedule[p], p, attempt);
       return row;
     };
@@ -163,11 +159,12 @@ FaultDiagnosis DiagnosisPipeline::sampledLadder(const FaultInput& input) const {
   GroupVerdicts all;
   std::vector<Partition> allPartitions;
   BitVector manifested(input.response.failingCells.size());
+  SessionBatchScratch scratch;
   for (std::size_t attempt = 0; attempt < samples; ++attempt) {
     for (std::size_t p = 0; p < numPartitions; ++p) {
       const FaultResponse observed = input.observe(attempt, p);
       manifested |= observed.failingCells;
-      all.failing.push_back(engine_.runPartition(prepared_, p, observed).failing);
+      all.failing.push_back(engine_.runPartition(prepared_, p, observed, &scratch).failing);
       allPartitions.push_back(partitions[p]);
     }
   }
@@ -331,7 +328,7 @@ std::vector<double> DiagnosisPipeline::evaluateSweep(
       counts.reserve(prefixes);
       if (adaptive_) {
         // One greedy run serves every prefix (see the header).
-        const AdaptiveOutcome outcome = adaptive_->run(r);
+        const AdaptiveOutcome outcome = adaptive_->run(engine_, r);
         std::size_t step = 0;
         std::size_t current = topology_->numCells();
         for (std::size_t p = 0; p < prefixes; ++p) {

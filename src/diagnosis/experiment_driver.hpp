@@ -51,9 +51,6 @@ struct DiagnosisConfig {
   bool pruning = false;
   std::size_t numPatterns = 128;
   unsigned misrDegree = 16;
-  /// False forces the per-session reference scorer everywhere (parity tests,
-  /// A/B benches); the diagnosis output is bit-identical either way.
-  bool batchedScoring = true;
 };
 
 /// One fault through the ladder. A clean single-fault run leaves the fields
@@ -205,10 +202,6 @@ class DiagnosisPipeline {
 /// Throws std::invalid_argument for SchemeKind::Adaptive, which has no fixed
 /// sequence — its schedule is chosen online per fault.
 std::vector<Partition> buildPartitions(const DiagnosisConfig& config, std::size_t chainLength);
-
-/// The SessionConfig a DiagnosisConfig implies — shared by DiagnosisPipeline
-/// and AdaptivePlanner so both run sessions under identical settings.
-SessionConfig sessionConfigFor(const DiagnosisConfig& config);
 
 // ---------------------------------------------------------------------------
 // Workload preparation (pattern generation + fault selection + fault sim).

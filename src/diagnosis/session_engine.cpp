@@ -13,7 +13,7 @@ namespace {
 /// Cap on the per-cell contribution table (numCells × numPatterns u64
 /// entries, 32 MiB at the cap). Topologies past it — none of the bundled
 /// benchmarks come close — fall back to the per-bit model path inside the
-/// batched scorer, which computes the same signatures without the table.
+/// scoring kernel, which computes the same signatures without the table.
 constexpr std::size_t kMaxContributionEntries = std::size_t{1} << 22;
 
 }  // namespace
@@ -155,12 +155,12 @@ void SessionEngine::prepareCells(const FaultResponse& response, bool needSignatu
 
 GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
                                           const FaultResponse& response) const {
-  // Counters only — no PhaseScope: this is the per-fault hot path of the
-  // batch DR drivers, and two steady_clock reads per call cost several
-  // percent of a whole diagnosis. Phase timing for session work happens at
-  // the single-fault API (DiagnosisPipeline::diagnose) and in runPartition
-  // (the per-partition retry path), where a call does enough work to
-  // amortize the clock reads.
+  // Counters only — no PhaseScope, like run(): a whole-schedule pass is the
+  // per-fault hot path of the batch DR drivers, and two steady_clock reads
+  // per call cost several percent of a whole diagnosis. Phase timing for
+  // session work happens at the single-fault API (DiagnosisPipeline::
+  // diagnose) and in runPartition (the per-partition path), where a call does
+  // enough work to amortize the clock reads.
   const bool needSignatures =
       config_.mode == SignatureMode::Misr || config_.computeSignatures;
 
@@ -189,30 +189,29 @@ GroupVerdicts SessionEngine::runReference(const PreparedPartitionSet& prepared,
   return verdicts;
 }
 
-GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
-                                        const FaultResponse& response,
-                                        SessionBatchScratch* scratch) const {
-  SCANDIAG_REQUIRE(prepared.empty() ||
-                       prepared.partition(0).length() == topology_->maxChainLength(),
-                   "partition length does not match topology");
-  // Same no-PhaseScope rule as runReference: per-fault hot path.
+GroupVerdicts SessionEngine::score(const PreparedPartitionSet& prepared, std::size_t first,
+                                   std::size_t last, const FaultResponse& response,
+                                   SessionBatchScratch& s, std::uint64_t& contribCells) const {
+  SCANDIAG_REQUIRE(
+      first == last || prepared.partition(first).length() == topology_->maxChainLength(),
+      "partition length does not match topology");
   const bool needSignatures =
       config_.mode == SignatureMode::Misr || config_.computeSignatures;
-  const std::size_t numPartitions = prepared.size();
-  const std::size_t total = prepared.totalGroups();
+  const std::size_t numPartitions = last - first;
+  // Scoreboard slot of global group id `id`: the scored partitions' groups
+  // are contiguous in the prepared numbering.
+  const std::size_t base = prepared.groupOffset(first);
+  const std::size_t total = prepared.groupOffset(last) - base;
 
-  SessionBatchScratch local;
-  SessionBatchScratch& s = scratch ? *scratch : local;
   if (needSignatures) {
     prepareCells(response, true, s.failingPositions, s.cellPos, s.cellSig, contributions());
   } else {
     // Exact verdicts need only the collapsed failing positions; skip the
-    // per-cell position/signature pass entirely (the reference path keeps it
-    // because computeRow's interface is shared with the signature modes).
-    // Filling the scratch vector from the dense ordinal list — rather than
-    // ScanTopology::collapseCells — means a reused scratch allocates nothing
-    // and nothing scans the full per-cell bit vector. The bit vector dedupes
-    // positions shared by cells on different chains.
+    // per-cell position/signature pass entirely. Filling the scratch vector
+    // from the dense ordinal list — rather than ScanTopology::collapseCells —
+    // means a reused scratch allocates nothing and nothing scans the full
+    // per-cell bit vector. The bit vector dedupes positions shared by cells on
+    // different chains.
     s.failingPositions.resize(topology_->maxChainLength());
     s.failingPositions.resetAll();
     BitVector::Word* seen = s.failingPositions.data();
@@ -225,15 +224,14 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
     s.cellSig.clear();
   }
 
-  // Flat scoreboards over the schedule's global group ids; reset in place so
-  // a reused scratch allocates nothing in steady state.
-  std::uint64_t contribCells = 0;
+  // Flat scoreboards over the scored groups; reset in place so a reused
+  // scratch allocates nothing in steady state.
   if (needSignatures) {
     s.flatSig.assign(total, 0);
     for (std::size_t i = 0; i < s.cellPos.size(); ++i) {
       const std::uint32_t* row = prepared.groupsAtPosition(s.cellPos[i]);
       const std::uint64_t sig = s.cellSig[i];
-      for (std::size_t p = 0; p < numPartitions; ++p) s.flatSig[row[p]] ^= sig;
+      for (std::size_t p = first; p < last; ++p) s.flatSig[row[p] - base] ^= sig;
     }
     contribCells += s.cellPos.size() * numPartitions;
   }
@@ -253,8 +251,8 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
             wi * BitVector::kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
         const std::uint32_t* row = prepared.groupsAtPosition(pos);
-        for (std::size_t p = 0; p < numPartitions; ++p) {
-          const std::uint32_t id = row[p];
+        for (std::size_t p = first; p < last; ++p) {
+          const std::size_t id = row[p] - base;
           words[id / BitVector::kWordBits] |= BitVector::Word{1}
                                               << (id % BitVector::kWordBits);
         }
@@ -271,33 +269,33 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
         config_.mode == SignatureMode::Misr ? config_.misrDegree : kPruneDegree;
     verdicts.errorSig.reserve(numPartitions);
   }
-  for (std::size_t p = 0; p < numPartitions; ++p) {
+  for (std::size_t p = first; p < last; ++p) {
     verdicts.failing.emplace_back(prepared.partition(p).groupCount());
   }
   if (config_.mode == SignatureMode::Exact) {
     // Sparse compose: one word-wise sweep over the set bits of the flat
-    // scoreboard. Global group ids ascend with the partition index, so the
+    // scoreboard. Group ids ascend with the partition index, so the
     // partition cursor only ever moves forward.
-    std::size_t p = 0;
+    std::size_t p = first;
     const BitVector::Word* gw = s.groupFail.data();
     const std::size_t nw = s.groupFail.wordCount();
     for (std::size_t wi = 0; wi < nw; ++wi) {
       BitVector::Word bits = gw[wi];
       while (bits) {
-        const std::size_t id =
-            wi * BitVector::kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+        const std::size_t id = base + wi * BitVector::kWordBits +
+                               static_cast<std::size_t>(std::countr_zero(bits));
         bits &= bits - 1;
         while (id >= prepared.groupOffset(p + 1)) ++p;
-        verdicts.failing[p].set(id - prepared.groupOffset(p));
+        verdicts.failing[p - first].set(id - prepared.groupOffset(p));
       }
     }
   }
   if (needSignatures) {
-    for (std::size_t p = 0; p < numPartitions; ++p) {
+    for (std::size_t p = first; p < last; ++p) {
       const std::size_t b = prepared.partition(p).groupCount();
-      const std::size_t off = prepared.groupOffset(p);
+      const std::size_t off = prepared.groupOffset(p) - base;
       if (config_.mode != SignatureMode::Exact) {
-        BitVector& failing = verdicts.failing[p];
+        BitVector& failing = verdicts.failing[p - first];
         for (std::size_t g = 0; g < b; ++g) {
           if (s.flatSig[off + g] != 0) failing.set(g);
         }
@@ -306,37 +304,43 @@ GroupVerdicts SessionEngine::runBatched(const PreparedPartitionSet& prepared,
                                      s.flatSig.begin() + static_cast<std::ptrdiff_t>(off + b));
     }
   }
-
-  // PartitionsEvaluated / SessionsRun deltas match runReference exactly (the
-  // counter-parity contract); the two batch counters tally batched-only work.
-  obs::count(obs::Counter::PartitionsEvaluated, numPartitions);
-  obs::count(obs::Counter::SessionsRun, total);
-  obs::count(obs::Counter::BatchedGroupScores, total);
-  if (contribCells > 0) obs::count(obs::Counter::BatchContribCells, contribCells);
   return verdicts;
 }
 
 GroupVerdicts SessionEngine::run(const PreparedPartitionSet& prepared,
                                  const FaultResponse& response,
                                  SessionBatchScratch* scratch) const {
-  if (config_.scorer == SessionScorer::Batched) return runBatched(prepared, response, scratch);
-  return runReference(prepared, response);
+  // Same no-PhaseScope rule as runReference: per-fault hot path.
+  SessionBatchScratch local;
+  std::uint64_t contribCells = 0;
+  GroupVerdicts verdicts =
+      score(prepared, 0, prepared.size(), response, scratch ? *scratch : local, contribCells);
+  // PartitionsEvaluated / SessionsRun deltas match runReference exactly (the
+  // counter-parity contract); the two batch counters tally whole-schedule
+  // passes only.
+  obs::count(obs::Counter::PartitionsEvaluated, prepared.size());
+  obs::count(obs::Counter::SessionsRun, prepared.totalGroups());
+  obs::count(obs::Counter::BatchedGroupScores, prepared.totalGroups());
+  if (contribCells > 0) obs::count(obs::Counter::BatchContribCells, contribCells);
+  return verdicts;
 }
 
 PartitionVerdictRow SessionEngine::runPartition(const PreparedPartitionSet& prepared,
                                                 std::size_t index,
-                                                const FaultResponse& response) const {
-  const Partition& partition = prepared.partition(index);
+                                                const FaultResponse& response,
+                                                SessionBatchScratch* scratch) const {
+  SCANDIAG_REQUIRE(index < prepared.size(), "partition index out of range");
   obs::PhaseScope phase(obs::Phase::SignatureCompare);
   obs::count(obs::Counter::PartitionsEvaluated);
-  obs::count(obs::Counter::SessionsRun, partition.groupCount());
-  const bool needSignatures =
-      config_.mode == SignatureMode::Misr || config_.computeSignatures;
-  BitVector failingPositions;
-  std::vector<std::size_t> cellPos;
-  std::vector<std::uint64_t> cellSig;
-  prepareCells(response, needSignatures, failingPositions, cellPos, cellSig, nullptr);
-  return computeRow(partition, failingPositions, cellPos, cellSig, needSignatures);
+  obs::count(obs::Counter::SessionsRun, prepared.partition(index).groupCount());
+  SessionBatchScratch local;
+  std::uint64_t contribCells = 0;
+  GroupVerdicts verdicts =
+      score(prepared, index, index + 1, response, scratch ? *scratch : local, contribCells);
+  PartitionVerdictRow row;
+  row.failing = std::move(verdicts.failing.front());
+  if (verdicts.hasSignatures) row.errorSig = std::move(verdicts.errorSig.front());
+  return row;
 }
 
 }  // namespace scandiag

@@ -18,22 +18,23 @@
 // mode they can be computed on the side with a wider register so pruning
 // stays available without injecting aliasing into the verdicts.
 //
-// Two scorers produce these verdicts (SessionConfig::scorer):
+// One kernel produces every verdict row: MISR linearity means a session's
+// error signature is the XOR of its cells' individual error signatures, and
+// the group-membership structure is fixed per schedule — so the groups of a
+// run of partitions are scored in one pass over the fault's failing cells
+// against the PreparedPartitionSet's transposed position→global-group table,
+// one XOR (or one bit-set) per (cell, partition). No per-group membership
+// scan ever runs. run() scores the whole schedule this way; runPartition()
+// scores one partition of it (an adaptive step, a recovery re-run, an
+// intermittent sample, a serve partition). See docs/ARCHITECTURE.md §11.
 //
-//  * **Batched** (default hot path): MISR linearity means a session's error
-//    signature is the XOR of its cells' individual error signatures, and the
-//    group-membership structure is fixed per schedule — so ALL groups of ALL
-//    partitions are scored in one pass over the fault's failing cells against
-//    the PreparedPartitionSet's transposed position→global-group table, one
-//    XOR (or one bit-set) per (cell, partition). No per-group membership scan
-//    ever runs. See docs/ARCHITECTURE.md §11.
-//  * **PerSession** (reference): the literal one-session-at-a-time evaluation
-//    (per-group intersects / per-partition signature bucketing, each cell's
-//    group found through Partition::groupOf, never through the prepared
-//    table it checks). Kept as the parity oracle — tests/diagnosis/
-//    batched_parity_test holds the two bit-identical across schemes,
-//    circuits, thread counts, pruning, and noise — and as the per-partition
-//    path (runPartition) of the adaptive planner and the recovery layer.
+// runReference() is the literal one-session-at-a-time evaluation (per-group
+// intersects / per-partition signature bucketing, each cell's group found
+// through Partition::groupOf, never through the prepared table it checks).
+// No production path runs it: it is the parity oracle that tests/diagnosis/
+// batched_parity_test and prepared_partitions_test hold the kernel
+// bit-identical to, across schemes, circuits, topologies, signature modes,
+// pruning and noise.
 #pragma once
 
 #include <cstdint>
@@ -55,11 +56,6 @@ enum class SignatureMode {
   Misr,   // group fails iff MISR error signature != 0
 };
 
-enum class SessionScorer {
-  Batched,     // one-pass scoring over the prepared schedule (hot path)
-  PerSession,  // per-group reference evaluation (parity oracle)
-};
-
 /// Signature width used for pruning in Exact mode (wider = less chance of
 /// pruning away a true failing cell by XOR cancellation). Every signature
 /// register, this one and the verdict MISR, uses the primitive polynomial of
@@ -76,9 +72,6 @@ struct SessionConfig {
   /// Optional space compactor between the scan-out lines and the MISR (must
   /// outlive the engine). Null = one MISR input per chain.
   const SpaceCompactor* compactor = nullptr;
-  /// Which scorer run(prepared, ...) dispatches to. PerSession forces the
-  /// reference path everywhere (parity tests, A/B benches).
-  SessionScorer scorer = SessionScorer::Batched;
 };
 
 struct GroupVerdicts {
@@ -97,15 +90,16 @@ struct PartitionVerdictRow {
   std::vector<std::uint64_t> errorSig;  // empty unless signatures are computed
 };
 
-/// Reusable buffers for the batched scorer. One lives on each thread-pool
+/// Reusable buffers for the scoring kernel. One lives on each thread-pool
 /// worker's stack for a whole chunk of faults (DiagnosisPipeline::evaluate),
-/// so the steady state allocates nothing per fault. Never shared across
-/// threads.
+/// or for one fault's adaptive steps, so the steady state allocates nothing
+/// per call. Never shared across threads.
 struct SessionBatchScratch {
   BitVector failingPositions;
   std::vector<std::size_t> cellPos;
   std::vector<std::uint64_t> cellSig;
-  /// Flat per-global-group scoreboards (PreparedPartitionSet numbering).
+  /// Flat per-group scoreboards of the scored partitions (PreparedPartitionSet
+  /// numbering, from the first scored partition's offset).
   BitVector groupFail;
   std::vector<std::uint64_t> flatSig;
 };
@@ -117,29 +111,26 @@ class SessionEngine {
   const ScanTopology& topology() const { return *topology_; }
   const SessionConfig& config() const { return config_; }
 
-  /// Scores every partition of the schedule (one verdict row each; an empty
-  /// schedule gives zero rows): the batched scorer, or the per-session
-  /// reference when config().scorer == PerSession. Both are bit-identical.
-  /// `scratch` (optional) reuses buffers across calls on the batched path.
+  /// Scores every partition of the schedule in one pass (one verdict row
+  /// each; an empty schedule gives zero rows). `scratch` (optional) reuses
+  /// buffers across calls.
   GroupVerdicts run(const PreparedPartitionSet& prepared, const FaultResponse& response,
                     SessionBatchScratch* scratch = nullptr) const;
 
-  /// One-pass batched scorer over the prepared group layout.
-  GroupVerdicts runBatched(const PreparedPartitionSet& prepared, const FaultResponse& response,
-                           SessionBatchScratch* scratch = nullptr) const;
-
-  /// Per-session reference scorer — the parity oracle runBatched() is tested
-  /// against, regardless of config().scorer.
+  /// Per-session reference scorer — the parity oracle run() and
+  /// runPartition() are tested against. Only tests and bench_perf call it.
   GroupVerdicts runReference(const PreparedPartitionSet& prepared,
                              const FaultResponse& response) const;
 
   /// Re-runs the sessions of partition `index` (same patterns, same capture
   /// data — on a noiseless tester this reproduces run()'s row for that
-  /// partition bit-for-bit). This is the unit the adaptive planner runs per
-  /// step and the recovery layer re-executes when a session verdict is
-  /// suspect; always the per-session reference path.
+  /// partition bit-for-bit), through run()'s kernel. This is the unit the
+  /// adaptive planner runs per step and the recovery layer re-executes when a
+  /// session verdict is suspect. It counts what one partition's sessions
+  /// cost and none of run()'s batch counters.
   PartitionVerdictRow runPartition(const PreparedPartitionSet& prepared, std::size_t index,
-                                   const FaultResponse& response) const;
+                                   const FaultResponse& response,
+                                   SessionBatchScratch* scratch = nullptr) const;
 
   /// Per-cell error signature of one failing cell (line = its chain, cycle =
   /// pattern * maxChainLength + position). Exposed for tests.
@@ -150,10 +141,17 @@ class SessionEngine {
   /// Per-cell signature-contribution table: contributions()[cell * patterns
   /// + t] is the final-signature weight of an error in `cell` at pattern t
   /// (compactor columns folded in). Built once per engine under call_once;
-  /// null when the topology is too large for the table (the batched scorer
-  /// then computes signatures through the per-bit model path — identical
-  /// values, just without the precomputed gather).
+  /// null when the topology is too large for the table (the kernel then
+  /// computes signatures through the per-bit model path — identical values,
+  /// just without the precomputed gather).
   const std::uint64_t* contributions() const;
+  /// The scoring kernel: verdict rows of partitions [first, last) of
+  /// `prepared`, in one pass over the fault's failing cells. Counts only
+  /// signature_words_hashed; adds the (cell, partition) contributions it
+  /// folded to `contribCells`.
+  GroupVerdicts score(const PreparedPartitionSet& prepared, std::size_t first, std::size_t last,
+                      const FaultResponse& response, SessionBatchScratch& s,
+                      std::uint64_t& contribCells) const;
   void prepareCells(const FaultResponse& response, bool needSignatures,
                     BitVector& failingPositions, std::vector<std::size_t>& cellPos,
                     std::vector<std::uint64_t>& cellSig,
@@ -169,7 +167,7 @@ class SessionEngine {
   // concurrent run() calls from the thread pool race-freely share one model.
   mutable std::once_flag modelOnce_;
   mutable std::unique_ptr<MisrLinearModel> model_;
-  // Lazy per-cell contribution table (batched scorer); same sharing rule.
+  // Lazy per-cell contribution table (the kernel); same sharing rule.
   mutable std::once_flag contribOnce_;
   mutable std::vector<std::uint64_t> contrib_;
   mutable bool contribReady_ = false;

@@ -8,8 +8,9 @@
 //      the combined multi-chain error stream.
 //   3. The model's contiguous weight rows (lineWeights) agree with weight().
 //
-// These are the *algebraic* preconditions of runBatched(); the end-to-end
-// scorer parity lives in tests/diagnosis/batched_parity_test.cpp.
+// These are the *algebraic* preconditions of the session scoring kernel
+// (SessionEngine::run); the end-to-end scorer parity lives in
+// tests/diagnosis/batched_parity_test.cpp.
 
 #include "bist/misr.hpp"
 
@@ -60,8 +61,8 @@ TEST(MisrLinearity, SuperpositionAcrossPolysWidthsAndLengths) {
 TEST(MisrLinearity, CellContributionsReconstructFullSessionSignature) {
   // Random multi-chain sessions: per-cell error streams, one clocked MISR run
   // over the combined stream vs the XOR of each cell's model signature. This
-  // is exactly the decomposition runBatched() exploits — if it holds for the
-  // whole topology it holds for every subset (every session of every group).
+  // is exactly the decomposition the scoring kernel exploits — if it holds for
+  // the whole topology it holds for every subset (every session of every group).
   int cases = 0;
   for (unsigned degree : {8u, 16u, 24u}) {
     const std::uint64_t taps = primitiveTapMask(degree);

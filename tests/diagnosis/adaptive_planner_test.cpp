@@ -107,7 +107,7 @@ TEST_F(AdaptiveFixture, BudgetIsRespectedAndSoundnessHolds) {
       adaptiveConfig().numPartitions * adaptiveConfig().groupsPerPartition;
   EXPECT_EQ(planner->sessionBudget(), budget);
   for (const FaultResponse& r : work().responses) {
-    const AdaptiveOutcome o = planner->run(r);
+    const AdaptiveOutcome o = planner->run(pipeline.engine(), r);
     EXPECT_LE(o.sessionsUsed, budget);
     EXPECT_EQ(o.sessionBudget, budget);
     EXPECT_EQ(o.chosen.size(), o.steps.size());
@@ -129,7 +129,7 @@ TEST_F(AdaptiveFixture, StopsEarlyOnceResolvedAndSavesSessions) {
   const DiagnosisPipeline pipeline(work().topology, config);
   std::size_t savedSomewhere = 0;
   for (const FaultResponse& r : work().responses) {
-    const AdaptiveOutcome o = pipeline.adaptive()->run(r);
+    const AdaptiveOutcome o = pipeline.adaptive()->run(pipeline.engine(), r);
     if (o.sessionsUsed < o.sessionBudget) ++savedSomewhere;
     if (o.candidates.positions.count() <= 1) {
       EXPECT_LE(o.sessionsUsed, o.sessionBudget);
@@ -155,8 +155,8 @@ TEST_F(AdaptiveFixture, TwoPlannersChooseIdenticalSchedules) {
   const DiagnosisPipeline a(work().topology, adaptiveConfig());
   const DiagnosisPipeline b(work().topology, adaptiveConfig());
   for (const FaultResponse& r : work().responses) {
-    const AdaptiveOutcome oa = a.adaptive()->run(r);
-    const AdaptiveOutcome ob = b.adaptive()->run(r);
+    const AdaptiveOutcome oa = a.adaptive()->run(a.engine(), r);
+    const AdaptiveOutcome ob = b.adaptive()->run(b.engine(), r);
     ASSERT_EQ(oa.chosen, ob.chosen);
     EXPECT_EQ(oa.candidates.cells, ob.candidates.cells);
     EXPECT_EQ(oa.sessionsUsed, ob.sessionsUsed);
@@ -181,7 +181,7 @@ TEST_F(AdaptiveFixture, PoolGroupCountsAreClampedToChainPowersOfTwo) {
 TEST_F(AdaptiveFixture, ScheduleReturnsChosenPartitionsInOrder) {
   const DiagnosisPipeline pipeline(work().topology, adaptiveConfig());
   const AdaptivePlanner* planner = pipeline.adaptive();
-  const AdaptiveOutcome o = planner->run(work().responses.front());
+  const AdaptiveOutcome o = planner->run(pipeline.engine(), work().responses.front());
   const std::vector<Partition> schedule = planner->schedule(o);
   ASSERT_EQ(schedule.size(), o.chosen.size());
   for (std::size_t p = 0; p < schedule.size(); ++p) {

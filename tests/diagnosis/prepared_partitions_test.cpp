@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <set>
+#include <string>
+#include <utility>
 
+#include "diagnosis/adaptive_planner.hpp"
 #include "diagnosis/experiment_driver.hpp"
 #include "diagnosis/interval_partitioner.hpp"
 #include "diagnosis/superposition_pruner.hpp"
 #include "netlist/synthetic_generator.hpp"
+#include "obs/metrics.hpp"
 
 namespace scandiag {
 namespace {
@@ -21,6 +26,8 @@ namespace {
 
 const SchemeKind kSchemes[] = {SchemeKind::IntervalBased, SchemeKind::RandomSelection,
                                SchemeKind::TwoStep};
+const SchemeKind kFixedSchemes[] = {SchemeKind::IntervalBased, SchemeKind::RandomSelection,
+                                    SchemeKind::TwoStep, SchemeKind::DeterministicInterval};
 
 DiagnosisConfig configFor(SchemeKind scheme, std::size_t numPatterns) {
   DiagnosisConfig config;
@@ -121,7 +128,7 @@ TEST(PreparedPartitionSet, EmptySetScoresToZeroRows) {
     SessionConfig sc{mode, 4};
     sc.computeSignatures = true;
     const SessionEngine engine(topo, sc);
-    for (const GroupVerdicts& v : {engine.runBatched(empty, r), engine.runReference(empty, r)}) {
+    for (const GroupVerdicts& v : {engine.run(empty, r), engine.runReference(empty, r)}) {
       EXPECT_TRUE(v.failing.empty());
       EXPECT_TRUE(v.errorSig.empty());
     }
@@ -147,6 +154,17 @@ class PreparedParityFixture : public ::testing::Test {
       wc.numPatterns = 96;
       wc.numFaults = 60;
       return prepareWorkload(generateNamedCircuit("s953"), wc);
+    }();
+    return w;
+  }
+  // The same circuit on 4 balanced chains of 8 positions: a fault's failing
+  // cells often sit at one position on different chains.
+  static const CircuitWorkload& multiChainWork() {
+    static const CircuitWorkload w = [] {
+      WorkloadConfig wc;
+      wc.numPatterns = 96;
+      wc.numFaults = 60;
+      return prepareWorkload(generateNamedCircuit("s953"), wc, 4);
     }();
     return w;
   }
@@ -193,36 +211,87 @@ TEST_F(PreparedParityFixture, MisrModeRunMatchesVectorOverload) {
 }
 
 // runPartition(prepared, p) reproduces row p of both whole-schedule scorers,
-// in exact, MISR and prune-signature modes.
+// in exact, MISR and prune-signature modes, for every fixed scheme and the
+// adaptive planner's pool, on the single-chain workload and on a 4-chain one
+// whose cells share positions across chains. Each call counts one partition's
+// sessions and the reference's hashed signature words, and no batch counter.
 TEST_F(PreparedParityFixture, RunPartitionMatchesVectorOverload) {
-  const DiagnosisConfig config = configFor(SchemeKind::RandomSelection, work().patternsApplied);
-  const PreparedPartitionSet prepared(
-      buildPartitions(config, work().topology.maxChainLength()));
+  for (const CircuitWorkload* w : {&work(), &multiChainWork()}) {
+    const std::size_t length = w->topology.maxChainLength();
+    SCOPED_TRACE(std::to_string(w->topology.numChains()) + " chains");
+    std::vector<std::pair<std::string, PreparedPartitionSet>> schedules;
+    for (const SchemeKind scheme : kFixedSchemes) {
+      DiagnosisConfig config = configFor(scheme, w->patternsApplied);
+      config.groupsPerPartition = std::min(config.groupsPerPartition, std::bit_floor(length));
+      schedules.emplace_back(schemeName(scheme),
+                             PreparedPartitionSet(buildPartitions(config, length)));
+    }
+    DiagnosisConfig adaptive = configFor(SchemeKind::Adaptive, w->patternsApplied);
+    adaptive.pruning = false;
+    schedules.emplace_back("adaptive pool", AdaptivePlanner(w->topology, adaptive).pool());
 
-  struct Mode {
-    SignatureMode mode;
-    bool computeSignatures;
-    const char* name;
-  };
-  for (const Mode m : {Mode{SignatureMode::Exact, false, "exact"},
-                       Mode{SignatureMode::Misr, false, "misr"},
-                       Mode{SignatureMode::Exact, true, "prune-signature"}}) {
-    SessionConfig sc{m.mode, config.numPatterns};
-    sc.computeSignatures = m.computeSignatures;
-    const SessionEngine engine(work().topology, sc);
-    for (std::size_t f = 0; f < 5; ++f) {
-      const FaultResponse& r = work().responses[f];
-      const GroupVerdicts batched = engine.runBatched(prepared, r);
-      const GroupVerdicts reference = engine.runReference(prepared, r);
-      for (std::size_t p = 0; p < prepared.size(); ++p) {
-        const PartitionVerdictRow row = engine.runPartition(prepared, p, r);
-        EXPECT_EQ(row.failing, batched.failing[p]) << m.name << " partition " << p;
-        EXPECT_EQ(row.failing, reference.failing[p]) << m.name << " partition " << p;
-        if (batched.hasSignatures) {
-          EXPECT_EQ(row.errorSig, batched.errorSig[p]) << m.name << " partition " << p;
-          EXPECT_EQ(row.errorSig, reference.errorSig[p]) << m.name << " partition " << p;
-        } else {
-          EXPECT_TRUE(row.errorSig.empty()) << m.name;
+    std::size_t sharedPositions = 0;  // faults with two failing cells at one position
+    for (const FaultResponse& r : w->responses) {
+      if (w->topology.collapseCells(r.failingCells).count() < r.failingCellCount()) {
+        ++sharedPositions;
+      }
+    }
+    if (w->topology.numChains() > 1) {
+      EXPECT_GT(sharedPositions, 0u);
+    }
+
+    struct Mode {
+      SignatureMode mode;
+      bool computeSignatures;
+      const char* name;
+    };
+    for (const Mode m : {Mode{SignatureMode::Exact, false, "exact"},
+                         Mode{SignatureMode::Misr, false, "misr"},
+                         Mode{SignatureMode::Exact, true, "prune-signature"}}) {
+      SessionConfig sc{m.mode, w->patternsApplied};
+      sc.computeSignatures = m.computeSignatures;
+      const SessionEngine engine(w->topology, sc);
+      for (const auto& [name, prepared] : schedules) {
+        SCOPED_TRACE(name + " " + m.name);
+        ASSERT_GT(prepared.size(), 0u);
+        SessionBatchScratch scratch;
+        for (const FaultResponse& r : w->responses) {
+          const GroupVerdicts batched = engine.run(prepared, r);
+          GroupVerdicts reference;
+          std::array<std::uint64_t, obs::kNumCounters> referenceDeltas{};
+          {
+            obs::DeltaCapture capture;
+            reference = engine.runReference(prepared, r);
+            referenceDeltas = capture.deltas();
+          }
+          for (std::size_t p = 0; p < prepared.size(); ++p) {
+            PartitionVerdictRow row;
+            std::array<std::uint64_t, obs::kNumCounters> deltas{};
+            {
+              obs::DeltaCapture capture;
+              row = engine.runPartition(prepared, p, r, p % 2 ? &scratch : nullptr);
+              deltas = capture.deltas();
+            }
+            ASSERT_EQ(row.failing, batched.failing[p]) << "partition " << p;
+            ASSERT_EQ(row.failing, reference.failing[p]) << "partition " << p;
+            if (batched.hasSignatures) {
+              ASSERT_EQ(row.errorSig, batched.errorSig[p]) << "partition " << p;
+              ASSERT_EQ(row.errorSig, reference.errorSig[p]) << "partition " << p;
+            } else {
+              ASSERT_TRUE(row.errorSig.empty());
+            }
+            for (std::size_t c = 0; c < obs::kNumCounters; ++c) {
+              const auto counter = static_cast<obs::Counter>(c);
+              const std::uint64_t expected =
+                  counter == obs::Counter::PartitionsEvaluated ? 1
+                  : counter == obs::Counter::SessionsRun
+                      ? prepared.partition(p).groupCount()
+                  : counter == obs::Counter::SignatureWordsHashed ? referenceDeltas[c]
+                                                                  : 0;
+              ASSERT_EQ(deltas[c], expected)
+                  << "partition " << p << " counter " << obs::counterName(counter);
+            }
+          }
         }
       }
     }

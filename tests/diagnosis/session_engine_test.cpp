@@ -133,7 +133,7 @@ TEST(SessionEngine, PartitionLengthMismatchRejected) {
   const SessionEngine engine(topo, SessionConfig{SignatureMode::Exact, 8});
   const PreparedPartitionSet parts(
       std::vector<Partition>{IntervalPartitioner::fromLengths({5, 5}, 10)});
-  EXPECT_THROW(engine.runBatched(parts, makeResponse(12, 8, {3})), std::invalid_argument);
+  EXPECT_THROW(engine.run(parts, makeResponse(12, 8, {3})), std::invalid_argument);
   EXPECT_THROW(engine.runReference(parts, makeResponse(12, 8, {3})), std::invalid_argument);
 }
 
