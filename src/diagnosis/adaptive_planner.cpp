@@ -100,6 +100,16 @@ AdaptivePlanner::AdaptivePlanner(const ScanTopology& topology, const DiagnosisCo
     }
   }
   pool_ = PreparedPartitionSet(std::move(candidates));
+
+  // The blind first step depends on no verdict: S is the whole axis, nothing
+  // is used or spent yet and the spread is the prior. Every fault would score
+  // it identically, so it is scored once here.
+  if (!config.schemeConfig.adaptive.forceFixedOrder) {
+    std::vector<std::uint32_t> counts(pool_.totalGroups());
+    std::uint64_t positionsScored = 0;
+    firstPick_ = pickNext(BitVector(chainLength, true), std::vector<char>(pool_.size(), 0), 0,
+                          0, counts, positionsScored);
+  }
 }
 
 double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std::uint32_t>& counts,
@@ -142,6 +152,37 @@ double AdaptivePlanner::scoreCandidate(std::size_t index, const std::vector<std:
   return score;
 }
 
+std::size_t AdaptivePlanner::pickNext(const BitVector& survivors, const std::vector<char>& used,
+                                      std::size_t sessionsUsed, std::size_t observedSpread,
+                                      std::vector<std::uint32_t>& counts,
+                                      std::uint64_t& positionsScored) const {
+  const std::size_t n = survivors.count();
+  if (n <= 1) return BitVector::npos;  // partitions act on positions; nothing left to split
+  positionsScored += n;
+  // One pass over S scores every candidate: the prepared transposed layout
+  // gives each position's group in every pool partition contiguously.
+  const std::size_t poolSize = pool_.size();
+  std::fill(counts.begin(), counts.end(), 0);
+  for (std::size_t pos = survivors.findFirst(); pos != BitVector::npos;
+       pos = survivors.findNext(pos)) {
+    const std::uint32_t* groups = pool_.groupsAtPosition(pos);
+    for (std::size_t j = 0; j < poolSize; ++j) ++counts[groups[j]];
+  }
+  const std::size_t spread = observedSpread > 0 ? observedSpread : kSpreadPrior;
+  std::size_t pick = BitVector::npos;  // nothing affordable can shrink S: stop, save budget
+  double bestScore = 0.0;
+  for (std::size_t i = 0; i < poolSize; ++i) {
+    if (used[i]) continue;
+    if (sessionsUsed + pool_.partition(i).groupCount() > budget_) continue;
+    const double score = scoreCandidate(i, counts, n, spread, observedSpread > 0);
+    if (score > bestScore) {  // ties resolve to the lowest pool index
+      bestScore = score;
+      pick = i;
+    }
+  }
+  return pick;
+}
+
 AdaptiveOutcome AdaptivePlanner::run(const SessionEngine& engine, const FaultResponse& response,
                                      const RowObserver& observer) const {
   const bool fixedOrder = config_.schemeConfig.adaptive.forceFixedOrder;
@@ -155,46 +196,29 @@ AdaptiveOutcome AdaptivePlanner::run(const SessionEngine& engine, const FaultRes
   std::vector<std::uint32_t> counts(pool_.totalGroups());
   std::size_t observedSpread = 0;  // max failing-group count seen; 0 = nothing yet
   std::uint64_t pruned = 0;
+  std::uint64_t positionsScored = 0;
   SessionBatchScratch scratch;  // shared by this fault's steps
 
-  for (;;) {
-    const std::size_t before = survivors.count();
-    std::size_t pick = BitVector::npos;
-    if (fixedOrder) {
-      // Parity mode: the fixed schedule, in order, while the budget lasts.
-      const std::size_t next = out.chosen.size();
-      if (next >= poolSize) break;
-      if (out.sessionsUsed + pool_.partition(next).groupCount() > budget_) break;
-      pick = next;
-    } else {
-      if (before <= 1) break;  // partitions act on positions; nothing left to split
-      // One pass over S scores every candidate: the prepared transposed layout
-      // gives each position's group in every pool partition contiguously.
-      std::fill(counts.begin(), counts.end(), 0);
-      for (std::size_t pos = survivors.findFirst(); pos != BitVector::npos;
-           pos = survivors.findNext(pos)) {
-        const std::uint32_t* groups = pool_.groupsAtPosition(pos);
-        for (std::size_t j = 0; j < poolSize; ++j) ++counts[groups[j]];
-      }
-      const std::size_t spread = observedSpread > 0 ? observedSpread : kSpreadPrior;
-      double bestScore = 0.0;
-      for (std::size_t i = 0; i < poolSize; ++i) {
-        if (used[i]) continue;
-        if (out.sessionsUsed + pool_.partition(i).groupCount() > budget_) continue;
-        const double score = scoreCandidate(i, counts, before, spread, observedSpread > 0);
-        if (score > bestScore) {  // ties resolve to the lowest pool index
-          bestScore = score;
-          pick = i;
-        }
-      }
-      if (pick == BitVector::npos) break;  // nothing affordable can shrink S: stop, save budget
-    }
+  // Parity mode: the fixed schedule, in order, while the budget lasts.
+  const auto nextInOrder = [&]() -> std::size_t {
+    const std::size_t next = out.chosen.size();
+    if (next >= poolSize) return BitVector::npos;
+    if (out.sessionsUsed + pool_.partition(next).groupCount() > budget_) return BitVector::npos;
+    return next;
+  };
 
+  std::size_t pick = fixedOrder ? nextInOrder() : firstPick_;
+  while (pick != BitVector::npos) {
+    const std::size_t before = survivors.count();
     used[pick] = 1;
     PartitionVerdictRow row = engine.runPartition(pool_, pick, response, &scratch);
     if (observer) observer(out.chosen.size(), pick, row);
-    observedSpread = std::max<std::size_t>(observedSpread, std::max<std::size_t>(row.failing.count(), 1));
 
+    // This step's intersection and the next step's scoring; the session
+    // scoring above keeps its own signature_compare phase.
+    obs::PhaseScope phase(obs::Phase::CandidateIntersection);
+    observedSpread =
+        std::max<std::size_t>(observedSpread, std::max<std::size_t>(row.failing.count(), 1));
     const Partition& partition = pool_.partition(pick);
     survivors &= partition.unionOf(row.failing);
 
@@ -205,9 +229,16 @@ AdaptiveOutcome AdaptivePlanner::run(const SessionEngine& engine, const FaultRes
     out.verdicts.failing.push_back(std::move(row.failing));
     out.steps.push_back(AdaptiveStepTrace{pick, partition.groupCount(), out.sessionsUsed, after,
                                           topology_->expandPositions(survivors).count()});
+    if (fixedOrder) {
+      pick = nextInOrder();
+    } else {
+      pick = pickNext(survivors, used, out.sessionsUsed, observedSpread, counts,
+                      positionsScored);
+    }
   }
 
   if (pruned > 0) obs::count(obs::Counter::AdaptiveCandidatesPruned, pruned);
+  if (positionsScored > 0) obs::count(obs::Counter::AdaptivePositionsScored, positionsScored);
   if (out.sessionsUsed < budget_) {
     obs::count(obs::Counter::AdaptiveSessionsSaved,
                static_cast<std::uint64_t>(budget_ - out.sessionsUsed));

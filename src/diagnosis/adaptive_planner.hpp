@@ -19,6 +19,9 @@
 //      failing-group count observed so far; a prior of 2 before the first
 //      observation). Score = (log2(n) − log2(E)) / sessions, so information
 //      is charged per session exactly as CostModel charges tester time.
+//      Step 0 sees no verdict — S is the whole axis, nothing is used or spent
+//      and the spread is the prior — so its pick is the same for every fault:
+//      the constructor scores it once, and run() scores steps >= 1 only.
 //   3. The best candidate (ties → lowest pool index) is run through the
 //      pipeline engine's SessionEngine::runPartition (the same scoring kernel
 //      as a fixed schedule), its failing-group union intersects S, and
@@ -102,11 +105,22 @@ class AdaptivePlanner {
   double scoreCandidate(std::size_t index, const std::vector<std::uint32_t>& counts,
                         std::size_t n, std::size_t spread, bool observedAnything) const;
 
+  /// The best-scoring unused, affordable candidate for survivor set S, or
+  /// BitVector::npos when none can shrink it. `counts` is scratch sized
+  /// pool_.totalGroups(); |S| is added to `positionsScored` when S is walked.
+  std::size_t pickNext(const BitVector& survivors, const std::vector<char>& used,
+                       std::size_t sessionsUsed, std::size_t observedSpread,
+                       std::vector<std::uint32_t>& counts,
+                       std::uint64_t& positionsScored) const;
+
   const ScanTopology* topology_;
   DiagnosisConfig config_;
   PreparedPartitionSet pool_;
   std::vector<PoolKind> kinds_;  // parallel to pool_.partitions()
   std::size_t budget_ = 0;
+  /// Step 0 of every fault: pickNext over the whole axis before any verdict
+  /// (npos in forceFixedOrder mode, which never scores).
+  std::size_t firstPick_ = BitVector::npos;
 };
 
 }  // namespace scandiag

@@ -71,6 +71,7 @@ enum class Counter : unsigned {
   UnionSplits,              // interval splits spent resolving union candidates
   AtpgPatternsGenerated,    // PODEM distinguishing patterns applied to a stall
   DegradedSupersets,        // diagnoses that fell back to a superset-only answer
+  AdaptivePositionsScored,  // survivor positions walked by adaptive scoring passes
   kCount,
 };
 
@@ -123,6 +124,7 @@ constexpr const char* counterName(Counter c) {
     case Counter::UnionSplits: return "union_splits";
     case Counter::AtpgPatternsGenerated: return "atpg_patterns_generated";
     case Counter::DegradedSupersets: return "degraded_supersets";
+    case Counter::AdaptivePositionsScored: return "adaptive_positions_scored";
     case Counter::kCount: break;
   }
   return "unknown_counter";

@@ -206,7 +206,7 @@ constexpr const char* kPopulatedSnapshotJson =
     R"("serve_deadline_degraded":220,"serve_frames_rejected":231,"core_class_hits":242,)"
     R"("core_class_misses":253,"adaptive_sessions_saved":264,"adaptive_candidates_pruned":275,)"
     R"("defect_scenarios_run":286,"union_splits":297,"atpg_patterns_generated":308,)"
-    R"("degraded_supersets":319},)"
+    R"("degraded_supersets":319,"adaptive_positions_scored":330},)"
     R"("phases":{"good_machine_sim":{"nanos":1000,"calls":1},)"
     R"("faulty_sim":{"nanos":2000,"calls":1},"partition_gen":{"nanos":3000,"calls":1},)"
     R"("signature_compare":{"nanos":4000,"calls":1},)"
