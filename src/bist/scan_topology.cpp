@@ -57,9 +57,13 @@ ScanTopology::CellLoc ScanTopology::location(std::size_t cell) const {
 
 BitVector ScanTopology::expandPositions(const BitVector& positions) const {
   SCANDIAG_REQUIRE(positions.size() == maxLen_, "position mask size mismatch");
+  // O(|positions| x chains): walk the set positions, not every cell.
   BitVector cells(numCells());
-  for (std::size_t cell = 0; cell < loc_.size(); ++cell) {
-    if (positions.test(loc_[cell].position)) cells.set(cell);
+  for (std::size_t pos = positions.findFirst(); pos != BitVector::npos;
+       pos = positions.findNext(pos)) {
+    for (const std::vector<std::size_t>& chain : chains_) {
+      if (pos < chain.size()) cells.set(chain[pos]);
+    }
   }
   return cells;
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace scandiag {
 namespace {
 
@@ -95,6 +101,53 @@ TEST(ScanTopology, SizeMismatchesRejected) {
   EXPECT_THROW(t.expandPositions(BitVector(4)), std::invalid_argument);
   EXPECT_THROW(t.collapseCells(BitVector(6)), std::invalid_argument);
   EXPECT_THROW(t.location(5), std::invalid_argument);
+}
+
+TEST(ScanTopology, ExpandPositionsMatchesPerCellScan) {
+  // Oracle: test every cell's position against the mask.
+  const auto perCellScan = [](const ScanTopology& t, const BitVector& positions) {
+    BitVector cells(t.numCells());
+    for (std::size_t cell = 0; cell < t.numCells(); ++cell) {
+      if (positions.test(t.location(cell).position)) cells.set(cell);
+    }
+    return cells;
+  };
+  // Ragged stitching: chains of 37, 1, 20 and 12 cells, ids interleaved by a
+  // stride coprime to the 70 cells.
+  std::vector<std::vector<std::size_t>> ragged(4);
+  std::size_t cell = 0;
+  const std::size_t lengths[] = {37, 1, 20, 12};
+  for (std::size_t c = 0; c < 4; ++c) {
+    for (std::size_t p = 0; p < lengths[c]; ++p) {
+      ragged[c].push_back(cell);
+      cell = (cell + 3) % 70;
+    }
+  }
+  const std::pair<std::string, ScanTopology> topologies[] = {
+      {"single", ScanTopology::singleChain(129)},
+      {"block", ScanTopology::blockChains(203, 7)},
+      {"ragged", ScanTopology::fromChains(std::move(ragged))},
+  };
+  Xoroshiro128 rng(0x5CA7);
+  for (const auto& [name, t] : topologies) {
+    const std::size_t length = t.maxChainLength();
+    std::vector<BitVector> masks = {BitVector(length), BitVector(length, true)};
+    for (const double density : {0.02, 0.1, 0.5, 0.9}) {
+      for (int trial = 0; trial < 8; ++trial) {
+        BitVector mask(length);
+        for (std::size_t pos = 0; pos < length; ++pos) {
+          if (rng.nextDouble() < density) mask.set(pos);
+        }
+        masks.push_back(std::move(mask));
+      }
+    }
+    for (std::size_t m = 0; m < masks.size(); ++m) {
+      EXPECT_EQ(t.expandPositions(masks[m]), perCellScan(t, masks[m]))
+          << name << " mask " << m << " (" << masks[m].count() << " positions)";
+    }
+    EXPECT_EQ(t.expandPositions(masks[0]).count(), 0u) << name;
+    EXPECT_EQ(t.expandPositions(masks[1]).count(), t.numCells()) << name;
+  }
 }
 
 }  // namespace
