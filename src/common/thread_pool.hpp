@@ -31,7 +31,9 @@
 // Thread count resolution: an explicit constructor argument wins; 0 defers
 // to the SCANDIAG_THREADS environment variable; unset/0/garbage falls back
 // to std::thread::hardware_concurrency(). globalPool() is the process-wide
-// instance the experiment drivers use; setGlobalThreadCount() rebuilds it
+// instance the experiment drivers use — and buildSocFromModules, which
+// generates an SOC's distinct core netlists on it, one index slot per
+// module name; setGlobalThreadCount() rebuilds it
 // (call it from startup code — CLI flag, bench setup, test fixtures — not
 // while work is in flight).
 #pragma once

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/thread_pool.hpp"
 #include "soc/meta_scan_builder.hpp"
 
 namespace scandiag {
@@ -40,18 +41,22 @@ std::optional<std::size_t> parseCount(const std::string& text) {
 Soc buildSocFromModules(const std::string& socName, const std::vector<std::string>& modules,
                         std::size_t tamWidth) {
   // Arena: one generated netlist per distinct module name; repeated names
-  // alias it (the generator is deterministic, so the dedup is exact).
-  std::map<std::string, std::shared_ptr<const Netlist>> arena;
+  // alias it (the generator is deterministic, so the dedup is exact). The
+  // distinct names are generated on the pool, each into its own slot; an
+  // unknown name throws from its slot, and the pool rethrows the
+  // lowest-index failure — the one a serial loop would hit first.
+  std::map<std::string, std::size_t> slotOf;
+  std::vector<std::string> distinct;
+  for (const std::string& m : modules) {
+    if (slotOf.emplace(m, distinct.size()).second) distinct.push_back(m);
+  }
+  std::vector<std::shared_ptr<const Netlist>> arena(distinct.size());
+  globalPool().parallelFor(distinct.size(), [&](std::size_t i) {
+    arena[i] = std::make_shared<const Netlist>(generateNamedCircuit(distinct[i]));
+  });
   std::vector<CoreInstance> cores;
   cores.reserve(modules.size());
-  for (const std::string& m : modules) {
-    auto it = arena.find(m);
-    if (it == arena.end()) {
-      it = arena.emplace(m, std::make_shared<const Netlist>(generateNamedCircuit(m)))
-               .first;
-    }
-    cores.push_back(CoreInstance{m, it->second, 0});
-  }
+  for (const std::string& m : modules) cores.push_back(CoreInstance{m, arena[slotOf.at(m)], 0});
   return assembleSoc(socName, std::move(cores), tamWidth);
 }
 

@@ -4,6 +4,10 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
+
+#include "common/thread_pool.hpp"
+#include "soc/core_class.hpp"
 
 namespace scandiag {
 namespace {
@@ -99,6 +103,65 @@ TEST(SocBuilder, SpecNumbersMustFillTheirField) {
           << spec << ": " << e.what();
     }
   }
+}
+
+TEST(SocBuilder, ParallelBuildIsThreadCountInvariant) {
+  struct ThreadCountReset {
+    ~ThreadCountReset() { setGlobalThreadCount(0); }
+  } reset;
+  const auto build = [](std::size_t threads, const std::vector<std::string>& modules) {
+    setGlobalThreadCount(threads);
+    return buildSocFromModules("mix", modules, 2);
+  };
+  const auto expectSameSoc = [](const Soc& a, const Soc& b) {
+    ASSERT_EQ(a.coreCount(), b.coreCount()) << a.name();
+    EXPECT_EQ(a.totalCells(), b.totalCells()) << a.name();
+    for (std::size_t k = 0; k < a.coreCount(); ++k) {
+      EXPECT_EQ(a.core(k).name, b.core(k).name) << a.name() << " core " << k;
+      EXPECT_EQ(a.core(k).cellOffset, b.core(k).cellOffset) << a.name() << " core " << k;
+      EXPECT_EQ(structuralNetlistHash(*a.core(k).netlist),
+                structuralNetlistHash(*b.core(k).netlist))
+          << a.name() << " core " << k;
+    }
+  };
+
+  setGlobalThreadCount(1);
+  const Soc soc1Serial = buildSoc1();
+  const Soc d695Serial = buildD695();
+  setGlobalThreadCount(4);
+  expectSameSoc(soc1Serial, buildSoc1());
+  expectSameSoc(d695Serial, buildD695());
+
+  // Repeated names alias one netlist at every thread count: the core-class
+  // fast path compares the pointers.
+  const std::vector<std::string> repeated = {"s344", "s298", "s344", "s526", "s298", "s344"};
+  const Soc serial = build(1, repeated);
+  const Soc parallel = build(4, repeated);
+  expectSameSoc(serial, parallel);
+  for (const Soc* soc : {&serial, &parallel}) {
+    for (std::size_t a = 0; a < soc->coreCount(); ++a) {
+      for (std::size_t b = 0; b < soc->coreCount(); ++b) {
+        EXPECT_EQ(soc->core(a).netlist == soc->core(b).netlist,
+                  soc->core(a).name == soc->core(b).name)
+            << "cores " << a << " and " << b;
+      }
+    }
+  }
+
+  // An unknown name fails the same way: the first unknown name's error.
+  const std::vector<std::string> unknown = {"s298", "sNOPE", "s344", "sBAD"};
+  std::vector<std::string> errors;
+  for (const std::size_t threads : {1, 4}) {
+    try {
+      build(threads, unknown);
+      ADD_FAILURE() << "unknown module accepted at " << threads << " threads";
+    } catch (const std::invalid_argument& e) {
+      errors.push_back(e.what());
+    }
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_NE(errors[0].find("sNOPE"), std::string::npos) << errors[0];
 }
 
 TEST(Soc, ConstructionInvariantsEnforced) {
