@@ -81,6 +81,27 @@ std::uint64_t netlistFingerprint(const Netlist& nl) {
   return f.hash;
 }
 
+/// Everything netlistFingerprint folds, plus the inputs, outputs and DFFs in
+/// their list order and every gate name byte by byte: pins what the
+/// generator's storage and fanin search must keep beyond the wiring.
+std::uint64_t fullNetlistFingerprint(const Netlist& nl) {
+  Fnv f;
+  f.add(nl.gateCount());
+  for (GateId id = 0; id < nl.gateCount(); ++id) {
+    f.add(static_cast<std::uint64_t>(nl.gate(id).type));
+    f.add(nl.gate(id).fanins.size());
+    for (GateId fanin : nl.gate(id).fanins) f.add(fanin);
+    const std::string& name = nl.gateName(id);
+    f.add(name.size());
+    for (char c : name) f.add(static_cast<unsigned char>(c));
+  }
+  for (const std::vector<GateId>* list : {&nl.inputs(), &nl.outputs(), &nl.dffs()}) {
+    f.add(list->size());
+    for (GateId id : *list) f.add(id);
+  }
+  return f.hash;
+}
+
 std::uint64_t patternFingerprint(const Netlist& nl, const PatternSet& patterns) {
   Fnv f;
   for (GateId id = 0; id < nl.gateCount(); ++id) {
@@ -137,6 +158,43 @@ const std::map<std::string, std::uint64_t>& recordedNetlistFingerprints() {
   return m;
 }
 
+/// Full fingerprints (fullNetlistFingerprint) recorded for every profile.
+const std::map<std::string, std::uint64_t>& recordedFullNetlistFingerprints() {
+  static const std::map<std::string, std::uint64_t> m = {
+      {"s27", 0x438e71bfee25bc85ULL},
+      {"s208", 0x7867d7a9a6a5bb0ULL},
+      {"s298", 0xcad22a23d473cceaULL},
+      {"s344", 0x28d5aec8c19b57d6ULL},
+      {"s349", 0x6387f6d99c968e59ULL},
+      {"s382", 0x5c306ca4dffe167bULL},
+      {"s386", 0xa4c2d314fe1a6e32ULL},
+      {"s400", 0xb09ca66b1c8aeb36ULL},
+      {"s420", 0x3dbc6c550a060c4bULL},
+      {"s444", 0x6fd420a29cd8287aULL},
+      {"s510", 0xb6534132d9e2d284ULL},
+      {"s526", 0x3c49788f1d835698ULL},
+      {"s641", 0x4217ea5c3d6a64dbULL},
+      {"s713", 0x201ddd0748d7679aULL},
+      {"s820", 0xc000f60407f4864ULL},
+      {"s832", 0x9e0af9a3f896476aULL},
+      {"s838", 0x7b04a54d55f0b97eULL},
+      {"s953", 0x988ed73190f942b3ULL},
+      {"s1196", 0xc6f0040f7d5a8647ULL},
+      {"s1238", 0x7f460bfbd938c2a5ULL},
+      {"s1423", 0xa1871fb8e9fa5111ULL},
+      {"s1488", 0x5c85c1b4a76af13dULL},
+      {"s1494", 0x471ad4e1a1d5288bULL},
+      {"s5378", 0x1d84637b5909ba9ULL},
+      {"s9234", 0xdee3d12d5accda80ULL},
+      {"s13207", 0xdf19b713d2a8dd41ULL},
+      {"s15850", 0xa7bebbb849046de1ULL},
+      {"s35932", 0xce633b583abe4d87ULL},
+      {"s38417", 0x1a8b18af4c1fb86aULL},
+      {"s38584", 0x439a6882f0358f77ULL},
+  };
+  return m;
+}
+
 std::vector<std::string> profileNames() {
   std::vector<std::string> names;
   for (const Iscas89Profile& p : iscas89Profiles()) names.push_back(p.name);
@@ -154,6 +212,14 @@ TEST_P(NetlistFingerprint, MatchesRecordedValue) {
   const std::uint64_t hash = netlistFingerprint(generateNamedCircuit(GetParam()));
   EXPECT_EQ(hash, recorded->second)
       << "netlist generator output changed; new fingerprint = 0x" << std::hex << hash;
+}
+
+TEST_P(NetlistFingerprint, FullMatchesRecordedValue) {
+  const auto recorded = recordedFullNetlistFingerprints().find(GetParam());
+  ASSERT_NE(recorded, recordedFullNetlistFingerprints().end()) << "no fingerprint recorded";
+  const std::uint64_t hash = fullNetlistFingerprint(generateNamedCircuit(GetParam()));
+  EXPECT_EQ(hash, recorded->second)
+      << "netlist names, outputs or DFF order changed; new fingerprint = 0x" << std::hex << hash;
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, NetlistFingerprint, ::testing::ValuesIn(profileNames()));
