@@ -60,6 +60,12 @@ bool isSourceType(GateType t) {
          t == GateType::Const1;
 }
 
+void Netlist::reserve(std::size_t gates) {
+  gates_.reserve(gates);
+  names_.reserve(gates);
+  byName_.reserve(gates);
+}
+
 GateId Netlist::addInput(const std::string& name) {
   return addGate(GateType::Input, name, {});
 }

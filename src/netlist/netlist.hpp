@@ -59,6 +59,9 @@ class Netlist {
   void setName(std::string name) { name_ = std::move(name); }
 
   // ---- construction ----
+  /// Pre-sizes the gate storage and the name index for `gates` gates, so a
+  /// builder that knows its size adds them without regrowth or rehash.
+  void reserve(std::size_t gates);
   GateId addInput(const std::string& name);
   /// Adds a DFF whose D input is connected later with setDffInput().
   GateId addDff(const std::string& name);

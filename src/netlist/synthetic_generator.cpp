@@ -45,10 +45,54 @@ constexpr unsigned kPctArity3 = 20;
 constexpr unsigned kPctHub = 3;
 constexpr double kHubTap = 0.02;
 
-struct Slot {
-  GateId id;
-  double pos;
-};
+using detail::Slot;
+
+/// First index in [0, n) where the monotone predicate `past` (false, ...,
+/// false, true, ..., true) holds, or n: gallops outward from `guess` to
+/// bracket the boundary, then bisects the bracket.
+template <typename Past>
+std::size_t gallopToBoundary(std::size_t n, std::size_t guess, Past past) {
+  std::size_t lo = 0;  // past(i) is false for every i < lo
+  std::size_t hi = n;  // past(hi) is true, or hi == n
+  if (guess < n && !past(guess)) {
+    lo = guess + 1;
+    for (std::size_t step = 1;; step *= 2) {
+      const std::size_t probe = guess + step;
+      if (probe >= n) break;
+      if (past(probe)) {
+        hi = probe;
+        break;
+      }
+      lo = probe + 1;
+    }
+  } else {
+    hi = guess;
+    for (std::size_t step = 1; step <= guess; step *= 2) {
+      const std::size_t probe = guess - step;
+      if (!past(probe)) {
+        lo = probe + 1;
+        break;
+      }
+      hi = probe;
+    }
+  }
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (past(mid)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Where `v` falls among n slots stratified on [0, 1), clamped to [0, n].
+std::size_t interpolatedIndex(std::size_t n, double v) {
+  if (!(v > 0.0)) return 0;
+  if (v >= 1.0) return n;
+  return std::min(static_cast<std::size_t>(v * static_cast<double>(n)), n);
+}
 
 /// Picks a slot whose position is within kLocalityWindow of `p`, widening the
 /// window geometrically when the interval is empty. `slots` must be sorted by
@@ -63,14 +107,11 @@ const Slot& pickNear(const std::vector<Slot>& slots, double p, Xoroshiro128& rng
   constexpr std::size_t kMinPool = 6;
   double w = kLocalityWindow;
   while (true) {
-    const auto lo = std::lower_bound(slots.begin(), slots.end(), p - w,
-                                     [](const Slot& s, double v) { return s.pos < v; });
-    const auto hi = std::upper_bound(slots.begin(), slots.end(), p + w,
-                                     [](double v, const Slot& s) { return v < s.pos; });
-    const std::size_t span = static_cast<std::size_t>(hi - lo);
+    const std::size_t lo = detail::slotLowerBound(slots, p - w);
+    const std::size_t span = detail::slotUpperBound(slots, p + w) - lo;
     if (span >= kMinPool || w > 1.0) {
       if (span == 0) return slots[rng.nextBelow(slots.size())];
-      return *(lo + static_cast<std::ptrdiff_t>(rng.nextBelow(span)));
+      return slots[lo + rng.nextBelow(span)];
     }
     w *= 2;
   }
@@ -120,6 +161,20 @@ std::uint64_t mixName(std::uint64_t seed, std::string_view name) {
 
 }  // namespace
 
+namespace detail {
+
+std::size_t slotLowerBound(const std::vector<Slot>& slots, double v) {
+  return gallopToBoundary(slots.size(), interpolatedIndex(slots.size(), v),
+                          [&](std::size_t i) { return !(slots[i].pos < v); });
+}
+
+std::size_t slotUpperBound(const std::vector<Slot>& slots, double v) {
+  return gallopToBoundary(slots.size(), interpolatedIndex(slots.size(), v),
+                          [&](std::size_t i) { return v < slots[i].pos; });
+}
+
+}  // namespace detail
+
 Netlist generateCircuit(const Iscas89Profile& profile) {
   SCANDIAG_REQUIRE(profile.numInputs > 0, "profile needs at least one input");
   SCANDIAG_REQUIRE(profile.numDffs > 0, "profile needs at least one DFF");
@@ -128,11 +183,14 @@ Netlist generateCircuit(const Iscas89Profile& profile) {
 
   Xoroshiro128 rng(mixName(kSeed, profile.name));
   Netlist nl(profile.name);
+  nl.reserve(profile.numInputs + profile.numDffs + profile.numGates);
 
   // --- Sources with stratified positions; DFF ordinal order == position order
   // so the natural scan stitching is layout-like (DESIGN.md §6).
   std::vector<Slot> sources;
   std::vector<Slot> dffSlots;
+  sources.reserve(profile.numInputs + profile.numDffs);
+  dffSlots.reserve(profile.numDffs);
   for (std::size_t i = 0; i < profile.numInputs; ++i) {
     const GateId id = nl.addInput("pi" + std::to_string(i));
     sources.push_back({id, (static_cast<double>(i) + 0.5) / static_cast<double>(profile.numInputs)});

@@ -14,6 +14,9 @@
 // synthetic_generator.cpp.
 #pragma once
 
+#include <cstddef>
+#include <vector>
+
 #include "netlist/iscas89_profiles.hpp"
 #include "netlist/netlist.hpp"
 
@@ -26,5 +29,24 @@ Netlist generateCircuit(const Iscas89Profile& profile);
 
 /// generateCircuit(iscas89Profile(name)).
 Netlist generateNamedCircuit(std::string_view name);
+
+namespace detail {
+
+/// A signal placed on the generator's position axis.
+struct Slot {
+  GateId id;
+  double pos;
+};
+
+/// Index std::lower_bound gives for `v` over `slots` sorted by pos: the first
+/// slot with pos >= v. Slot positions are stratified on [0, 1), so the search
+/// starts at v × size and gallops outward to the exact index: O(1) expected
+/// steps, O(log n) at worst, correct for any sorted input and any v.
+std::size_t slotLowerBound(const std::vector<Slot>& slots, double v);
+
+/// Index std::upper_bound gives for `v`: the first slot with pos > v.
+std::size_t slotUpperBound(const std::vector<Slot>& slots, double v);
+
+}  // namespace detail
 
 }  // namespace scandiag

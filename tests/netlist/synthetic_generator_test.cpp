@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "netlist/bench_writer.hpp"
 #include "netlist/cone_analysis.hpp"
 #include "netlist/levelizer.hpp"
 #include "bist/prpg.hpp"
+#include "common/rng.hpp"
 #include "sim/fault_list.hpp"
 #include "sim/fault_simulator.hpp"
 
@@ -105,6 +107,58 @@ TEST(SyntheticGenerator, InvalidProfileRejected) {
   EXPECT_THROW(generateCircuit(Iscas89Profile{"x", 1, 0, 1, 3}), std::invalid_argument);
   EXPECT_THROW(generateCircuit(Iscas89Profile{"x", 1, 1, 0, 3}), std::invalid_argument);
   EXPECT_THROW(generateCircuit(Iscas89Profile{"x", 1, 1, 1, 0}), std::invalid_argument);
+}
+
+/// Checks the gallop searches against std::lower_bound / std::upper_bound
+/// for every query in `queries` plus each slot's own position and its two
+/// neighbouring doubles.
+void expectSearchesMatchStd(const std::vector<detail::Slot>& slots, std::vector<double> queries,
+                            const char* what) {
+  for (const detail::Slot& s : slots) {
+    queries.push_back(s.pos);
+    queries.push_back(std::nextafter(s.pos, -2.0));
+    queries.push_back(std::nextafter(s.pos, 2.0));
+  }
+  for (double v : queries) {
+    const auto lower = std::lower_bound(slots.begin(), slots.end(), v,
+                                        [](const detail::Slot& s, double x) { return s.pos < x; });
+    const auto upper = std::upper_bound(slots.begin(), slots.end(), v,
+                                        [](double x, const detail::Slot& s) { return x < s.pos; });
+    EXPECT_EQ(detail::slotLowerBound(slots, v), static_cast<std::size_t>(lower - slots.begin()))
+        << what << " lower v=" << v;
+    EXPECT_EQ(detail::slotUpperBound(slots, v), static_cast<std::size_t>(upper - slots.begin()))
+        << what << " upper v=" << v;
+  }
+}
+
+TEST(SlotSearch, MatchesStdBoundsOnEveryShape) {
+  std::vector<double> queries = {-1e9, -1.0, -0.25, -1e-12, 0.0, 1.0, 1.0 + 1e-12, 1.5, 1e9};
+  for (int k = 0; k <= 200; ++k) queries.push_back(-0.1 + 1.2 * k / 200.0);
+
+  Xoroshiro128 rng(7);
+  std::vector<detail::Slot> uniform;  // stratified with jitter, as the generator places gates
+  for (std::size_t i = 0; i < 3000; ++i)
+    uniform.push_back({static_cast<GateId>(i), (static_cast<double>(i) + rng.nextDouble()) / 3000.0});
+  expectSearchesMatchStd(uniform, queries, "uniform");
+
+  std::vector<detail::Slot> clustered;  // dense near 0, far from the interpolated guess
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const double u = rng.nextDouble();
+    clustered.push_back({static_cast<GateId>(i), u * u * u * u});
+  }
+  clustered.push_back({2000, 0.999});
+  std::sort(clustered.begin(), clustered.end(),
+            [](const detail::Slot& a, const detail::Slot& b) { return a.pos < b.pos; });
+  expectSearchesMatchStd(clustered, queries, "clustered");
+
+  std::vector<detail::Slot> duplicates;  // long runs of one position
+  for (std::size_t i = 0; i < 1000; ++i)
+    duplicates.push_back({static_cast<GateId>(i), static_cast<double>(i / 250) * 0.25 + 0.125});
+  expectSearchesMatchStd(duplicates, queries, "duplicates");
+
+  expectSearchesMatchStd({{0, 0.5}}, queries, "single");
+  expectSearchesMatchStd({{0, 0.0}, {1, 0.0}, {2, 1.0}}, queries, "ends");
+  expectSearchesMatchStd({}, queries, "empty");
 }
 
 TEST(Iscas89Profiles, TableContainsTheSixLargest) {
