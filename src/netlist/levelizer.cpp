@@ -51,10 +51,16 @@ Levelization levelize(const Netlist& netlist) {
         SCANDIAG_REQUIRE(false, "combinational cycle through gate " + netlist.gateName(id));
     }
   }
-  // Gates at lower levels can appear after higher ones with a stack; re-sort by
-  // level (stable on id) so cone-restricted evaluation can binary-slice later.
-  std::stable_sort(out.order.begin(), out.order.end(),
-                   [&](GateId a, GateId b) { return out.level[a] < out.level[b]; });
+  // Gates at lower levels can appear after higher ones with a stack; bucket by
+  // level so cone-restricted evaluation can binary-slice later. A counting
+  // sort keeps the pop order inside each level, the order a stable sort by
+  // level gives, in linear time.
+  std::vector<std::size_t> levelStart(out.maxLevel + 2, 0);
+  for (GateId id : out.order) ++levelStart[out.level[id] + 1];
+  for (std::size_t l = 1; l < levelStart.size(); ++l) levelStart[l] += levelStart[l - 1];
+  std::vector<GateId> byLevel(out.order.size());
+  for (GateId id : out.order) byLevel[levelStart[out.level[id]]++] = id;
+  out.order = std::move(byLevel);
   return out;
 }
 
