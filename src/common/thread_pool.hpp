@@ -1,38 +1,44 @@
-// Fixed-partition thread pool for the embarrassingly parallel per-fault loops.
+// Index-keyed thread pool for the embarrassingly parallel per-item loops.
 //
 // Design constraints, in order:
 //
-//  1. **Determinism.** Work is always split by *index*, never by arrival
-//     order: parallelFor(n, fn) carves [0, n) into at most threadCount()
-//     contiguous chunks, each chunk is executed by exactly one thread, and
-//     the caller decides what to do with the indexed results. There is no
-//     work stealing and no shared accumulator inside the pool, so a loop
+//  1. **Determinism.** Work is always keyed by *index*, never by arrival
+//     order, and the caller decides what to do with the indexed results.
+//     parallelForRange(n, body) carves [0, n) into at most threadCount()
+//     fixed contiguous chunks, each executed by exactly one thread, so a
+//     chunk can keep per-chunk scratch. In parallelFor(n, fn) lane c runs
+//     index c and then each lane claims the next unclaimed index from a
+//     shared counter, in increasing order, so a few uneven items (an SOC's
+//     cores) do not queue behind one fixed chunk. There is no shared accumulator inside the pool, so a loop
 //     whose body writes only results[i] produces bit-identical output for
 //     every thread count — callers then reduce in index order (see
 //     DiagnosisPipeline::evaluate). Per-index seeds/partition state derive
 //     from the index, exactly as in the serial code.
 //  2. **Thread count 1 is the serial code path.** A pool with one thread
-//     spawns no workers; parallelFor degenerates to the plain `for` loop on
+//     spawns no workers; both loops degenerate to the plain `for` loop on
 //     the calling thread and submit() runs inline. The parallel build is
 //     therefore a strict superset of the serial one, not a replacement.
-//  3. **Nested use never deadlocks.** A parallelFor issued from inside a
+//  3. **Nested use never deadlocks.** A parallel loop issued from inside a
 //     pool task runs inline on that worker (detected via a thread_local
 //     flag). This is what lets evaluateSocDr parallelize across cores while
-//     each core's DiagnosisPipeline::evaluate still calls parallelFor.
-//  4. **Exceptions propagate.** The lowest-index chunk's exception is
-//     rethrown on the calling thread (lowest-index so the error a caller
-//     sees does not depend on thread scheduling); submit() carries
-//     exceptions through its std::future. A throwing chunk never strands the
-//     batch: completion is decremented by RAII, a queueing failure falls back
-//     to inline execution, and an exception that escapes a raw task is caught
-//     in the worker (keeping it alive for join) and rethrown on the next
-//     submitting thread instead of std::terminate'ing the process.
+//     each core's DiagnosisPipeline::evaluate still calls parallelForRange.
+//  4. **Exceptions propagate.** The error a serial loop would hit first is
+//     rethrown on the calling thread, so it does not depend on thread
+//     scheduling: the lowest-index chunk's for parallelForRange, the lowest
+//     throwing index's for parallelFor (which stops claiming after the first
+//     throw; every lower index was claimed earlier and has run). submit()
+//     carries exceptions through its std::future. A throwing lane never
+//     strands the batch: completion is decremented by RAII, a queueing
+//     failure falls back to inline execution, and an exception that escapes
+//     a raw task is caught in the worker (keeping it alive for join) and
+//     rethrown on the next submitting thread instead of std::terminate'ing
+//     the process.
 //
 // Thread count resolution: an explicit constructor argument wins; 0 defers
 // to the SCANDIAG_THREADS environment variable; unset/0/garbage falls back
 // to std::thread::hardware_concurrency(). globalPool() is the process-wide
 // instance the experiment drivers use — and buildSocFromModules, which
-// generates an SOC's distinct core netlists on it, one index slot per
+// generates an SOC's distinct core netlists on it, one claimed index per
 // module name; setGlobalThreadCount() rebuilds it
 // (call it from startup code — CLI flag, bench setup, test fixtures — not
 // while work is in flight).
@@ -79,17 +85,23 @@ class ThreadPool {
   /// at most threadCount() chunks. Blocks until every chunk finished; the
   /// calling thread executes chunk 0. Rethrows the lowest-index chunk's
   /// exception. Serial (inline) when threadCount() == 1, n <= 1, or called
-  /// from inside another parallel region.
+  /// from inside another parallel region. For loops whose chunks keep
+  /// per-chunk scratch.
   void parallelForRange(std::size_t n,
                         const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Element-wise convenience wrapper: fn(i) for each i in [0, n).
-  template <typename Fn>
-  void parallelFor(std::size_t n, Fn&& fn) {
-    parallelForRange(n, [&fn](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    });
-  }
+  /// fn(i) for each i in [0, n), on lanes = min(threadCount(), n) lanes:
+  /// lane c runs index c, then each lane claims the next unclaimed index, in
+  /// increasing order. Items of uneven cost therefore spread over the lanes
+  /// instead of queueing behind one fixed chunk. Which lane runs a claimed
+  /// index is unspecified, so fn(i) must write only its own slot. Blocks
+  /// until every started index finished. Once an index throws, no lane
+  /// claims another, and the lowest throwing index's exception is rethrown:
+  /// claims are monotone, so every lower index has run, and that is the
+  /// error a serial loop would hit first. Serial (inline) when
+  /// threadCount() == 1, n <= 1, or called from inside another parallel
+  /// region.
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Schedules f() on a worker (inline when threadCount() == 1 or when
   /// called from inside a parallel region); the future carries the result
@@ -106,6 +118,12 @@ class ThreadPool {
  private:
   void post(std::function<void()> task);
   void workerLoop(std::size_t lane);
+  /// Runs laneBody(c) for each lane c in [0, lanes): lane 0 on the calling
+  /// thread, the others on workers. Blocks until all finished, then
+  /// rethrows the lowest lane's exception.
+  void runOnLanes(std::size_t lanes, const std::function<void(std::size_t)>& laneBody);
+  /// Rethrows (and clears) an exception that escaped a raw task on a worker.
+  void rethrowEscapedError();
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
@@ -113,7 +131,7 @@ class ThreadPool {
   std::vector<std::function<void()>> queue_;
   bool stopping_ = false;
   /// First exception that escaped a task on a worker (instead of killing the
-  /// worker via std::terminate); rethrown by the next parallelForRange.
+  /// worker via std::terminate); rethrown by the next parallel loop.
   std::exception_ptr escapedError_;
 };
 

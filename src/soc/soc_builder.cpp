@@ -42,9 +42,11 @@ Soc buildSocFromModules(const std::string& socName, const std::vector<std::strin
                         std::size_t tamWidth) {
   // Arena: one generated netlist per distinct module name; repeated names
   // alias it (the generator is deterministic, so the dedup is exact). The
-  // distinct names are generated on the pool, each into its own slot; an
-  // unknown name throws from its slot, and the pool rethrows the
-  // lowest-index failure — the one a serial loop would hit first.
+  // distinct names are generated on the pool, each into its own slot. Lanes
+  // claim names one at a time, so the large cores do not queue behind each
+  // other on one fixed chunk. An unknown name throws from its slot, and the
+  // pool rethrows the lowest-index failure — the one a serial loop would
+  // hit first.
   std::map<std::string, std::size_t> slotOf;
   std::vector<std::string> distinct;
   for (const std::string& m : modules) {

@@ -21,7 +21,8 @@
 namespace scandiag {
 
 /// Generic builder: generates one netlist per *distinct* ISCAS-89 profile
-/// name on globalPool() (repeated names alias the same arena netlist) and
+/// name on globalPool(), whose lanes claim the names one at a time
+/// (repeated names alias the same arena netlist), and
 /// threads `tamWidth` meta chains through the instances in daisy-chain
 /// order. The result does not depend on the pool's thread count; an unknown
 /// name throws the error a serial build would.

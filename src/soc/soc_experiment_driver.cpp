@@ -67,9 +67,11 @@ std::vector<SocDrRow> evaluateSocDr(const Soc& soc, const WorkloadConfig& worklo
                                     const RunControl& control,
                                     SweepCheckpoint* checkpoint) {
   // Cores are independent experiments (each derives its own seeds from the
-  // core index), so they fan out across the pool into per-core row slots;
-  // the nested pipeline.evaluate() parallelism runs inline on the worker
-  // (thread_pool nested-use guard). Row k never depends on scheduling.
+  // core index), so they fan out across the pool into per-core row slots.
+  // Lanes claim cores one at a time, so two large cores never wait for each
+  // other on one fixed chunk while another lane idles; the nested
+  // pipeline.evaluate() parallelism runs inline on the worker (thread_pool
+  // nested-use guard). Row k never depends on scheduling.
   const DiagnosisPipeline pipeline(soc.topology(), config);
   std::vector<SocDrRow> rows(soc.coreCount());
   globalPool().parallelFor(soc.coreCount(), [&](std::size_t k) {

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -84,6 +86,45 @@ TEST(ThreadPool, ParallelForPropagatesLowestIndexException) {
     FAIL() << "expected an exception";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "low");
+  }
+}
+
+TEST(ThreadPool, ParallelForRunsTrailingIndicesConcurrently) {
+  // Indices 4 and 5 each release the other and then wait for it. Fixed
+  // contiguous chunks put both on one lane ([4, 5] of 6 on 4 lanes), so one
+  // would time out; lanes that claim indices run them at the same time.
+  ThreadPool pool(4);
+  std::promise<void> released[2];
+  std::shared_future<void> seen[2] = {released[0].get_future().share(),
+                                      released[1].get_future().share()};
+  std::atomic<bool> metPartner[2] = {false, false};
+  pool.parallelFor(6, [&](std::size_t i) {
+    if (i < 4) return;
+    const std::size_t self = i - 4;
+    released[self].set_value();
+    metPartner[self] = seen[1 - self].wait_for(std::chrono::seconds(10)) ==
+                       std::future_status::ready;
+  });
+  EXPECT_TRUE(metPartner[0].load()) << "index 4 never saw index 5 run";
+  EXPECT_TRUE(metPartner[1].load()) << "index 5 never saw index 4 run";
+}
+
+TEST(ThreadPool, ParallelForRethrowsSerialFirstErrorWhenClaiming) {
+  // Index 5 throws at once, index 1 only after a pause, so index 5's error is
+  // recorded first in time. The caller must still see index 1's: the error a
+  // serial loop would hit first.
+  ThreadPool pool(4);
+  try {
+    pool.parallelFor(8, [](std::size_t i) {
+      if (i == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        throw std::runtime_error("slow index 1");
+      }
+      if (i == 5) throw std::runtime_error("fast index 5");
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "slow index 1");
   }
 }
 
